@@ -62,9 +62,8 @@ def main():
     # the ring and forces producer/consumer lockstep (269-377 MB/s across
     # identical-binary runs, +-30%), and small sizes are no better —
     # back-to-back size=3000 runs of the same binary measured 160-295
-    # tokens/s. A 10% gate on any of them only flakes. The shm win itself
-    # is still gated, in-binary, by fig6_throughput --check-shm (>=2x over
-    # TCP loopback at 1 kB on multi-core hosts).
+    # tokens/s. A 10% gate on any of them only flakes. shm end to end is
+    # guarded by perfbench's ring-1k-shm workload (BENCHMARK.json) instead.
     # fig9_life's leaf=* configs are the wall-clock naive/LUT kernel
     # microbench: real CPU time on a shared host, so cross-run deltas are
     # noise. The LUT win is gated in-binary by fig9_life --check-leaf

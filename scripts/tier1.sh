@@ -21,21 +21,20 @@
 #            analyzer's built-in fallback frontend
 #        DPS_BENCH_SMOKE=1 scripts/tier1.sh  # also run a reduced pass of
 #            every bench binary with --json, concatenate the records into
-#            BENCH_pr10.json (includes micro_serialization's zero-realloc
+#            BENCH_pr<N>.json, N one past the last "PR N:" line of
+#            CHANGES.md (includes micro_serialization's zero-realloc
 #            assertion, micro_engine's flat-dispatch assertion, the
 #            table2_services service-mesh sweep + overload self-checks,
 #            fig15_lu's --check-scaleout gate — 8-node pipelined must beat
-#            1-node — fig6_throughput's --check-shm gate — shm must beat
-#            TCP loopback 2x at 1 KB on multi-core hosts — micro_steal's
-#            work-stealing gate, ablation_flowctl's knee +
-#            adaptive-window gates: adaptive within 5% of the best static
-#            window at every message size, fig9_life's --check-leaf gate —
-#            the LUT leaf kernel must beat naive 3x at 1024^2 on
+#            1-node — micro_steal's work-stealing gate, ablation_flowctl's
+#            knee + adaptive-window gates: adaptive within 5% of the best
+#            static window at every message size, fig9_life's --check-leaf
+#            gate — the LUT leaf kernel must beat naive 3x at 1024^2 on
 #            multi-core hosts — and stream_video's streaming self-checks:
 #            checksum-verified frames, base rate sustained within 20%, p99
 #            end-to-end under the SLO), and flag fig15_lu / fig6_throughput
-#            / fig9_life throughput regressions >10% against the committed
-#            BENCH_pr9.json baseline
+#            / fig9_life throughput regressions >10% against the newest
+#            committed BENCH_pr*.json numbered below N
 set -uo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
@@ -170,17 +169,14 @@ if [ "${DPS_BENCH_SMOKE:-0}" != "1" ]; then
 fi
 
 # Bench smoke: tiny configurations of every harness, machine-readable
-# results concatenated into BENCH_pr10.json for cross-commit diffing.
+# results concatenated into BENCH_pr<N>.json for cross-commit diffing.
 # micro_serialization exits nonzero if an envelope encode reallocates,
 # micro_engine exits nonzero if merge matching scales with queue depth, the
 # table2_services sweep/overload pass exits nonzero if the service mesh
 # breaks its contract (iteration slowdown >= 2x at 100 clients, a shed call
 # reporting anything but kBackpressure, or a tenant exceeding its in-flight
 # budget), fig15_lu --check-scaleout exits nonzero unless the 8-node
-# pipelined run actually beats 1 node (multicast scale-out),
-# fig6_throughput --check-shm exits nonzero unless the shm ring beats DPS
-# over TCP loopback 2x at 1 KB tokens (skipped on single-core hosts, where
-# a pipelined ring cannot overlap transport with compute), micro_steal
+# pipelined run actually beats 1 node (multicast scale-out), micro_steal
 # exits nonzero unless enabling work stealing actually steals and speeds up
 # an imbalanced pipeline (skipped below 4 cores), ablation_flowctl
 # exits nonzero unless a flow-window knee exists and the adaptive
@@ -193,10 +189,19 @@ fi
 # end-to-end latency meets the SLO — all of those invariants are enforced
 # here too.
 set -e
+# The output is named one past the last "PR N:" line of CHANGES.md and is
+# compared against the newest committed BENCH_pr*.json numbered below it,
+# so neither name has to be edited by hand.
+pr=$(( $(sed -n 's/^PR \([0-9][0-9]*\):.*/\1/p' CHANGES.md | tail -n 1) + 1 ))
+bench_out="BENCH_pr${pr}.json"
+base_pr=$(git ls-files 'BENCH_pr*.json' |
+  sed -n 's/^BENCH_pr\([0-9][0-9]*\)\.json$/\1/p' |
+  awk -v pr="$pr" '$1 < pr' | sort -n | tail -n 1)
+bench_base="BENCH_pr${base_pr}.json"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
 b=build/bench
-"$b/fig6_throughput"    4    --check-shm --json "$smoke_dir/fig6.json"
+"$b/fig6_throughput"    4    --json "$smoke_dir/fig6.json"
 "$b/micro_steal"             --json "$smoke_dir/micro_steal.json"
 "$b/table1_overlap"     256  --json "$smoke_dir/table1.json"
 "$b/fig9_life"          1    --check-leaf --json "$smoke_dir/fig9.json"
@@ -211,10 +216,10 @@ b=build/bench
   --benchmark_filter='BM_CallLatencySingleNode|BM_TokenThroughputSerialized/256|BM_DispatchMergeMatch'
 "$b/micro_serialization" --json "$smoke_dir/micro_serial.json" \
   --benchmark_filter='BM_SimpleTokenRoundTrip|BM_ComplexTokenRoundTrip/4096'
-cat "$smoke_dir"/*.json > BENCH_pr10.json
-echo "bench smoke: $(wc -l < BENCH_pr10.json) records -> BENCH_pr10.json"
+cat "$smoke_dir"/*.json > "$bench_out"
+echo "bench smoke: $(wc -l < "$bench_out") records -> $bench_out"
 # Guard the hot-path wins: any fig15_lu / fig6_throughput / fig9_life
-# config more than 10% below the PR-9 baseline fails the smoke stage
+# config more than 10% below the baseline fails the smoke stage
 # (fig9's wall-clock leaf=* configs are advisory; the in-binary
 # --check-leaf gate owns that win).
-python3 scripts/bench_compare.py BENCH_pr9.json BENCH_pr10.json
+python3 scripts/bench_compare.py "$bench_base" "$bench_out"

@@ -68,13 +68,6 @@ struct FaultToleranceConfig {
 struct ClusterConfig {
   enum class FabricKind { kInproc, kTcp, kSim, kShm };
 
-  /// Worker-thread CPU affinity (docs/PERFORMANCE.md, "Core pinning").
-  /// kNone leaves placement to the OS scheduler. kCompact pins workers to
-  /// consecutive cores in spawn order (cache sharing between pipeline
-  /// stages); kScatter strides them across the socket (memory-bandwidth
-  /// bound stages). Linux only; a no-op elsewhere.
-  enum class PinPolicy { kNone, kCompact, kScatter };
-
   std::vector<std::string> nodes;  ///< node names; size = node count
   FabricKind fabric = FabricKind::kInproc;
   LinkModel link = LinkModel::gigabit_ethernet();  ///< kSim only
@@ -110,10 +103,6 @@ struct ClusterConfig {
   /// Reliable delivery + failure detection (off by default: fault-free
   /// fabrics pay zero overhead and keep their exact frame accounting).
   FaultToleranceConfig fault;
-
-  /// Worker CPU affinity policy; see PinPolicy. The resulting pinning map
-  /// is exported through Controller::worker_pinning() and svc stats.
-  PinPolicy pin_workers = PinPolicy::kNone;
 
   /// Idle workers steal dispatchable work from sibling workers of the same
   /// collection (core/run_queue.hpp). Off by default: stealing moves a
@@ -178,11 +167,6 @@ class Cluster {
   NodeId node_id(const std::string& name) const;
   const std::string& node_name(NodeId node) const;
   Controller& controller(NodeId node);
-
-  /// Cluster-wide worker spawn sequence for ClusterConfig::pin_workers:
-  /// every engine worker of every (in-process) node draws one slot, so the
-  /// pinning formulas distribute across the whole process, not per node.
-  int next_pin_seq() { return pin_seq_.fetch_add(1, std::memory_order_relaxed); }
 
   /// Parallel-service registry (published flow graphs), the in-process
   /// equivalent of the paper's name server.
@@ -305,7 +289,6 @@ class Cluster {
   std::vector<std::shared_ptr<ThreadCollectionBase>> collections_
       DPS_GUARDED_BY(mu_);
   std::atomic<uint64_t> next_call_{1};
-  std::atomic<int> pin_seq_{0};
   std::unordered_map<CallId, std::shared_ptr<detail::CallState>> calls_
       DPS_GUARDED_BY(mu_);
   std::unordered_map<ContextId, const void*> claims_ DPS_GUARDED_BY(mu_);

@@ -3,14 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <deque>
-#include <numeric>
 #include <optional>
 
 #include <cstring>
-
-#if defined(__linux__)
-#include <sched.h>
-#endif
 
 #include "core/flow_adapt.hpp"
 
@@ -100,9 +95,6 @@ struct Controller::Worker {
   StealGroup* steal_group = nullptr;
   /// Raised (under mu) by a backlogged sibling: "wake up and steal".
   std::atomic<bool> steal_hint{false};
-  /// CPU this worker pinned itself to; -1 while unpinned. Written once by
-  /// the worker thread, read by worker_pinning().
-  std::atomic<int> pinned_cpu{-1};
 
   std::thread os_thread;
 };
@@ -875,7 +867,6 @@ void Controller::worker_loop(Worker& w) {
 #endif
   // Under virtual time, this DPS thread competes for its node's CPUs.
   domain.bind_cpu(static_cast<int>(self_));
-  pin_worker(w);
   const bool stealing = w.steal_group != nullptr;
   for (;;) {
     const bool drained = drain_inbox(w);
@@ -924,53 +915,6 @@ void Controller::worker_loop(Worker& w) {
     }
   }
   domain.actor_finished();
-}
-
-void Controller::pin_worker(Worker& w) {
-#if defined(__linux__)
-  const ClusterConfig::PinPolicy policy = cluster_.config().pin_workers;
-  if (policy == ClusterConfig::PinPolicy::kNone) return;
-  const int ncpu =
-      std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  const int seq = cluster_.next_pin_seq();
-  int cpu;
-  if (policy == ClusterConfig::PinPolicy::kCompact) {
-    cpu = seq % ncpu;
-  } else {
-    // Scatter: stride workers across the socket. The stride is made
-    // coprime with the core count so `seq * stride % ncpu` visits every
-    // core before repeating.
-    int stride = std::max(2, ncpu / 2);
-    while (std::gcd(stride, ncpu) != 1) ++stride;
-    cpu = (seq * stride) % ncpu;
-  }
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(cpu, &set);
-  if (sched_setaffinity(0, sizeof(set), &set) == 0) {
-    w.pinned_cpu.store(cpu, std::memory_order_relaxed);
-#ifdef DPS_TRACE
-    if (obs::tracing_active()) {
-      static obs::Gauge& pinned =
-          obs::Metrics::instance().gauge("dps.sched.pinned_workers");
-      pinned.add(1);
-    }
-#endif
-  }
-#else
-  (void)w;
-#endif
-}
-
-std::vector<Controller::WorkerPin> Controller::worker_pinning() const {
-  std::vector<WorkerPin> pins;
-  MutexLock lock(workers_mu_);
-  pins.reserve(workers_.size());
-  for (const auto& [key, w] : workers_) {
-    pins.push_back(WorkerPin{key.first, key.second,
-                             w->pinned_cpu.load(std::memory_order_relaxed)});
-  }
-  return pins;
 }
 
 bool Controller::try_steal(Worker& w) {

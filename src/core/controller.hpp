@@ -82,16 +82,6 @@ class Controller {
     return stolen_envelopes_.load(std::memory_order_relaxed);
   }
 
-  /// One worker's CPU-affinity record (ClusterConfig::pin_workers). cpu is
-  /// -1 while unpinned (policy kNone, non-Linux, or thread not started yet).
-  struct WorkerPin {
-    CollectionId collection = 0;
-    ThreadIndex index = 0;
-    int cpu = -1;
-  };
-  /// The pinning map of this node's workers, for svc stats and tests.
-  std::vector<WorkerPin> worker_pinning() const;
-
   // --- service-mesh admission control (docs/SERVICE_MESH.md) ----------------
   /// Always-on per-tenant admission counters. The authoritative source of
   /// the dps.svc.{admitted,shed,deadline_expired,inflight} metrics (the
@@ -192,9 +182,6 @@ class Controller {
 
   // Engine internals.
   void worker_loop(Worker& w);
-  /// Applies ClusterConfig::pin_workers to the calling worker thread
-  /// (sched_setaffinity; Linux only, no-op elsewhere).
-  void pin_worker(Worker& w);
   /// Swaps the worker's inbox out under its lock and indexes every drained
   /// envelope into the worker-private run queue. Returns false when the
   /// inbox was empty. Must run on the worker's own thread.
