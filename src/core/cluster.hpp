@@ -84,13 +84,6 @@ struct ClusterConfig {
   /// balancing"). Generous default; benchmarks sweep it explicitly.
   uint32_t flow_window = 1u << 16;
 
-  /// Fan-out shape of postTokenMulticast collectives. kFlat (default)
-  /// sends one frame per destination node directly from the poster and
-  /// preserves per-link FIFO with unicast posts; kTree/kRing relay through
-  /// receiving nodes (O(log K)/O(K) hops) and may interleave with unicast
-  /// traffic — only safe for order-insensitive graphs.
-  McastTopology mcast_topology = McastTopology::kFlat;
-
   /// Adaptive split flow-control window (core/flow_adapt.hpp): each
   /// split's window moves between 1 and the tenant ceiling from measured
   /// credit round trips and receiver queue depths. Off = static window.

@@ -567,35 +567,23 @@ class Controller::ExecCtx : public detail::OpServices {
     }
     if (remote.empty()) return;
 
-    // Remote fan-out. Credits are acquired here (the split end) for every
+    // Remote fan-out: every destination node gets its frames straight from
+    // this split. Credits are acquired here (the split end) for every
     // remote destination; the window floor above keeps the acquisition
-    // live even when the window is smaller than the collective, but a
-    // structured topology that outsizes the window still degrades to flat
-    // so its per-frame chunks interleave with credit returns instead of
-    // bursting past the receivers' advertised capacity.
-    McastTopology topo = controller_.cluster_.config().mcast_topology;
+    // live even when the window is smaller than the collective, and a node
+    // group that outsizes the window ships in window-sized chunks so its
+    // frames interleave with credit returns instead of bursting past the
+    // receivers' advertised capacity.
     const uint32_t window =
         std::max<uint32_t>(1, controller_.tenant_window(env_.tenant));
-    if (topo != McastTopology::kFlat && remote_count >= window) {
-      topo = McastTopology::kFlat;
-    }
-    if (topo == McastTopology::kFlat) {
-      for (const McastGroup& g : remote) {
-        for (size_t lo = 0; lo < g.entries.size(); lo += window) {
-          const size_t n = std::min<size_t>(window, g.entries.size() - lo);
-          for (size_t i = 0; i < n; ++i) {
-            acquire_collective_credit();
-          }
-          McastGroup chunk{g.node,
-                          {g.entries.begin() + lo, g.entries.begin() + lo + n}};
-          controller_.mcast_ship(McastTopology::kFlat, {chunk}, body);
+    for (const McastGroup& g : remote) {
+      for (size_t lo = 0; lo < g.entries.size(); lo += window) {
+        const size_t n = std::min<size_t>(window, g.entries.size() - lo);
+        for (size_t i = 0; i < n; ++i) {
+          acquire_collective_credit();
         }
+        controller_.mcast_ship(g.node, &g.entries[lo], n, body);
       }
-    } else {
-      for (size_t i = 0; i < remote_count; ++i) {
-        acquire_collective_credit();
-      }
-      controller_.mcast_ship(topo, remote, body);
     }
   }
 
@@ -1500,41 +1488,26 @@ void Controller::handle_frame(FrameKind kind, NodeId from,
 
 void Controller::handle_mcast(NodeId from, const std::byte* data, size_t size,
                               DeliveryBatch* batch) {
-  (void)from;
   Reader r(data, size);
-  McastTopology topo = McastTopology::kFlat;
-  const std::vector<McastEntry> entries = decode_mcast_header(r, &topo);
-  const size_t body_off = size - r.remaining();
+  const std::vector<McastEntry> entries = decode_mcast_header(r);
+  // Fan-out is flat: the poster sends each node only that node's entries,
+  // so an entry for another node means a corrupt or foreign frame.
+  for (const McastEntry& e : entries) {
+    if (e.node != self_) {
+      raise(Errc::kProtocol,
+            "multicast frame from node " + std::to_string(from) +
+                " lists a destination on node " + std::to_string(e.node));
+    }
+  }
   Envelope base = Envelope::decode(r);
   if (base.frames.empty()) {
     raise(Errc::kProtocol, "multicast envelope without a split frame");
   }
-
-  // Local entries become envelope copies sharing one decode of the token;
-  // everything else is regrouped by node (first-appearance group order,
-  // per-node posting order kept) for the next hop.
-  std::vector<McastGroup> remote;
-  uint64_t delivered = 0;
+  // Every entry becomes an envelope copy sharing one decode of the token.
   for (const McastEntry& e : entries) {
-    if (e.node != self_) {
-      McastGroup* g = nullptr;
-      for (McastGroup& have : remote) {
-        if (have.node == e.node) {
-          g = &have;
-          break;
-        }
-      }
-      if (g == nullptr) {
-        remote.push_back(McastGroup{e.node, {}});
-        g = &remote.back();
-      }
-      g->entries.push_back(e);
-      continue;
-    }
     Envelope env = base;  // token pointer shared, not re-decoded
     env.thread = static_cast<ThreadIndex>(e.thread);
     env.frames.back().seq = e.seq;
-    ++delivered;
     if (batch != nullptr) {
       batch->add(std::move(env));
     } else {
@@ -1542,31 +1515,15 @@ void Controller::handle_mcast(NodeId from, const std::byte* data, size_t size,
     }
   }
 #ifdef DPS_TRACE
-  if (delivered > 0 && obs::tracing_active()) {
+  if (!entries.empty() && obs::tracing_active()) {
     obs::Trace::instance().record(obs::EventKind::kMcastDeliver, self_,
-                                  base.vertex, delivered, entries.size(),
-                                  size - body_off);
+                                  base.vertex, entries.size(), entries.size(),
+                                  size - mcast_header_size(entries.size()));
     static obs::Counter& deliveries =
         obs::Metrics::instance().counter("dps.mcast.deliveries");
-    deliveries.inc(delivered);
+    deliveries.inc(entries.size());
   }
 #endif
-  if (remote.empty()) return;
-
-  // Relay hop of a tree/ring collective: the body bytes are copied out of
-  // the arrival frame once and shared by every forwarded subtree frame.
-  auto body = std::make_shared<const std::vector<std::byte>>(data + body_off,
-                                                             data + size);
-#ifdef DPS_TRACE
-  if (obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kMcastForward, self_,
-                                  base.vertex, remote.size(), 0, body->size());
-    static obs::Counter& forwards =
-        obs::Metrics::instance().counter("dps.mcast.forwards");
-    forwards.inc();
-  }
-#endif
-  mcast_ship(topo, remote, body);
 }
 
 // --- Flow control ------------------------------------------------------------
@@ -1887,30 +1844,20 @@ void Controller::fabric_send_shared(NodeId target, FrameKind kind,
   send_reliable_wrapped(target, kind, w.take(), std::move(body));
 }
 
-void Controller::mcast_ship(McastTopology topo,
-                            const std::vector<McastGroup>& groups,
+void Controller::mcast_ship(NodeId node, const McastEntry* entries, size_t n,
                             const SharedPayload& body) {
-  mcast_fanout(topo, groups, [&](NodeId to, const McastGroup* g,
-                                 size_t count) {
-    size_t n = 0;
-    for (size_t i = 0; i < count; ++i) n += g[i].entries.size();
-    Writer w(BufferPool::instance().acquire(mcast_header_size(n)));
-    w.put(static_cast<uint8_t>(topo));
-    w.put(static_cast<uint32_t>(n));
-    for (size_t i = 0; i < count; ++i) {
-      w.put_raw(g[i].entries.data(), g[i].entries.size() * sizeof(McastEntry));
-    }
-    BufferPool::instance().note_growth(w.growth_count());
-    mcast_frames_.fetch_add(1, std::memory_order_relaxed);
+  Writer w(BufferPool::instance().acquire(mcast_header_size(n)));
+  encode_mcast_header(w, entries, n);
+  BufferPool::instance().note_growth(w.growth_count());
+  mcast_frames_.fetch_add(1, std::memory_order_relaxed);
 #ifdef DPS_TRACE
-    if (obs::tracing_active()) {
-      static obs::Counter& frames =
-          obs::Metrics::instance().counter("dps.mcast.frames");
-      frames.inc();
-    }
+  if (obs::tracing_active()) {
+    static obs::Counter& frames =
+        obs::Metrics::instance().counter("dps.mcast.frames");
+    frames.inc();
+  }
 #endif
-    fabric_send_shared(to, FrameKind::kMcastEnvelope, w.take(), body);
-  });
+  fabric_send_shared(node, FrameKind::kMcastEnvelope, w.take(), body);
 }
 
 void Controller::send_envelope(NodeId target, FrameKind kind,

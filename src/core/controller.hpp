@@ -166,8 +166,8 @@ class Controller {
   uint64_t multicast_encodes() const {
     return mcast_encodes_.load(std::memory_order_relaxed);
   }
-  /// kMcastEnvelope frames shipped from this node (root sends + relay
-  /// forwards).
+  /// kMcastEnvelope frames shipped from this node: one per destination
+  /// node (and flow-window chunk) of each collective.
   uint64_t multicast_frames_sent() const {
     return mcast_frames_.load(std::memory_order_relaxed);
   }
@@ -239,14 +239,13 @@ class Controller {
   /// exactly-once composes per link over the one encoded payload.
   void fabric_send_shared(NodeId target, FrameKind kind,
                           std::vector<std::byte> prefix, SharedPayload body);
-  /// Ships one hop's worth of multicast frames over `groups` (posting-order
-  /// node groups) according to `topo`. Used by the posting root and by
-  /// relays forwarding a subtree.
-  void mcast_ship(McastTopology topo, const std::vector<McastGroup>& groups,
+  /// Ships one kMcastEnvelope frame listing `n` destinations on `node`;
+  /// `body` is the collective's single encoded envelope.
+  void mcast_ship(NodeId node, const McastEntry* entries, size_t n,
                   const SharedPayload& body);
-  /// kMcastEnvelope arrival: decode the body once, deliver local entries
-  /// (token pointer shared between co-located receivers), forward remaining
-  /// subtree groups per the frame's topology.
+  /// kMcastEnvelope arrival: decode the body once and deliver every entry,
+  /// the token pointer shared between the co-located receivers. An entry
+  /// for another node raises Error(kProtocol).
   void handle_mcast(NodeId from, const std::byte* data, size_t size,
                     DeliveryBatch* batch);
   /// Encodes `env` into one exact-size pooled buffer and ships it — in

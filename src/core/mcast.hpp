@@ -1,26 +1,21 @@
-// Multicast collectives: wire codec and fan-out planning.
+// Multicast collectives: wire codec.
 //
 // A kMcastEnvelope frame carries one envelope body (encoded exactly once,
-// into one pooled buffer) to K destination threads:
+// into one pooled buffer) to the destination threads of the node that
+// receives it:
 //
-//   u8 topology | u32 n | n x { u32 node | u32 thread | u32 seq } | body
+//   u8 0 | u32 n | n x { u32 node | u32 thread | u32 seq } | body
+//
+// Fan-out is flat: the poster sends every destination node its own frame,
+// so per-link FIFO with ordinary unicast envelopes holds, and every entry
+// names the receiving node. The leading byte once selected a relay
+// topology; it is always 0, so the frame layout is unchanged.
 //
 // The body is a regular Envelope encode with placeholder thread/seq; each
 // receiver stamps its own entry's thread and split-frame seq into a copy.
 // The header is tiny and owned per frame; the body is a SharedPayload so
 // every transmit of the collective points at the same bytes
 // (docs/PERFORMANCE.md).
-//
-// Topologies (ClusterConfig::mcast_topology):
-//  * kFlat — the sender emits one frame per destination node. No relaying,
-//    so per-link FIFO with ordinary unicast envelopes is preserved; this is
-//    the default and what order-sensitive graphs (LU) rely on.
-//  * kTree — binomial: each hop sends the first half of the remaining node
-//    groups to the first group's node, which delivers its own entries and
-//    recursively fans out the rest. O(log K) hops, relays re-wrap reliable
-//    delivery per link.
-//  * kRing — chain: each hop forwards the whole remaining list to the next
-//    node. O(K) hops, minimal per-hop fan-out.
 #pragma once
 
 #include <cstdint>
@@ -30,12 +25,6 @@
 #include "serial/wire.hpp"
 
 namespace dps {
-
-enum class McastTopology : uint8_t {
-  kFlat = 0,
-  kTree = 1,
-  kRing = 2,
-};
 
 /// One destination of a multicast: the receiving node, the destination
 /// thread within the target collection, and the split-frame sequence number
@@ -58,57 +47,23 @@ inline size_t mcast_header_size(size_t n) {
   return 1 + 4 + n * sizeof(McastEntry);
 }
 
-inline void encode_mcast_header(Writer& w, McastTopology topo,
-                                const McastEntry* entries, size_t n) {
-  w.put(static_cast<uint8_t>(topo));
+inline void encode_mcast_header(Writer& w, const McastEntry* entries,
+                                size_t n) {
+  w.put(uint8_t{0});
   w.put(static_cast<uint32_t>(n));
   w.put_raw(entries, n * sizeof(McastEntry));
 }
 
 /// Decodes the header, leaving the reader positioned at the envelope body.
-inline std::vector<McastEntry> decode_mcast_header(Reader& r,
-                                                   McastTopology* topo) {
-  const auto t = r.get<uint8_t>();
-  if (t > static_cast<uint8_t>(McastTopology::kRing)) {
+inline std::vector<McastEntry> decode_mcast_header(Reader& r) {
+  if (r.get<uint8_t>() != 0) {
     raise(Errc::kProtocol, "unknown multicast topology");
   }
-  *topo = static_cast<McastTopology>(t);
   const auto n = r.get<uint32_t>();
   r.require_count(n, sizeof(McastEntry));
   std::vector<McastEntry> entries(n);
   r.get_raw(entries.data(), n * sizeof(McastEntry));
   return entries;
-}
-
-/// Plans this hop's transmits over the remaining node groups. `emit` is
-/// called once per outgoing frame with (next_hop, first_group, group_count);
-/// the frame must carry the entries of all `group_count` groups so the next
-/// hop can deliver its own and fan out the rest.
-template <class Emit>
-void mcast_fanout(McastTopology topo, const std::vector<McastGroup>& groups,
-                  Emit&& emit) {
-  if (groups.empty()) return;
-  switch (topo) {
-    case McastTopology::kFlat:
-      for (const McastGroup& g : groups) emit(g.node, &g, size_t{1});
-      break;
-    case McastTopology::kRing:
-      emit(groups[0].node, groups.data(), groups.size());
-      break;
-    case McastTopology::kTree: {
-      // Binomial halving: this hop keeps splitting the tail it still owns,
-      // handing the first half of each split to that half's first node.
-      size_t lo = 0;
-      const size_t hi = groups.size();
-      while (lo < hi) {
-        const size_t span = hi - lo;
-        const size_t take = (span + 1) / 2;
-        emit(groups[lo].node, &groups[lo], take);
-        lo += take;
-      }
-      break;
-    }
-  }
 }
 
 }  // namespace dps

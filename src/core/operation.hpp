@@ -193,8 +193,7 @@ class TypedOperation : public Operation, public ExecDispatch<In> {
   /// threads.size() posts toward the context total. The token object is
   /// SHARED by co-located destinations and by the encoder — receivers must
   /// treat it as read-only. Cross-node destinations get one encode into one
-  /// pooled buffer and one frame per node (or per tree/ring hop, see
-  /// ClusterConfig::mcast_topology).
+  /// pooled buffer and one frame per node.
   template <class T>
   void postTokenMulticast(T* token, const std::vector<int>& threads) {
     static_assert(tl::contains_v<T, Out>,

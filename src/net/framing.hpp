@@ -37,7 +37,7 @@ enum class FrameKind : uint16_t {
                    ///< (payload = human-readable reason)
   // Multicast collectives (docs/PERFORMANCE.md):
   kMcastEnvelope = 10,  ///< one envelope body fanned out to K destinations:
-                        ///< [u8 topology | u32 n | n x {node,thread,seq} |
+                        ///< [u8 0 | u32 n | n x {node,thread,seq} |
                         ///<  envelope body]
 };
 

@@ -39,7 +39,6 @@ const char* to_string(EventKind kind) noexcept {
     case EventKind::kSvcShed: return "svc_shed";
     case EventKind::kSvcDeadline: return "svc_deadline";
     case EventKind::kMcastSend: return "mcast_send";
-    case EventKind::kMcastForward: return "mcast_forward";
     case EventKind::kMcastDeliver: return "mcast_deliver";
     case EventKind::kFlowWindow: return "flow_window";
     case EventKind::kSteal: return "steal";

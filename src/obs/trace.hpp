@@ -76,8 +76,7 @@ enum class EventKind : uint16_t {
   // Multicast collectives + adaptive flow control (docs/PERFORMANCE.md).
   kMcastSend = 30,     ///< collective posted (a=target vertex, b=K,
                        ///< c=remote dests, d=encoded body bytes)
-  kMcastForward = 31,  ///< relay forwarded a subtree (a=target vertex,
-                       ///< b=groups, d=body bytes)
+  // 31 was kMcastForward (tree/ring relay hops, removed); not reused.
   kMcastDeliver = 32,  ///< local deliveries of one frame (a=target vertex,
                        ///< b=delivered, c=header entries, d=body bytes)
   kFlowWindow = 33,    ///< adaptive window changed (a=flow context,

@@ -590,43 +590,6 @@ TEST(Chaos, McastExactlyOnceUnderSeededFaultSweepInprocAndTcp) {
   EXPECT_GT(duplicated, 0u) << "the sweep must have injected duplicates";
 }
 
-// The tree fan-out relays kMcastEnvelope frames through intermediate nodes;
-// each hop is its own reliable link, so exactly-once must survive the same
-// sweep when forwarding is in play.
-TEST(Chaos, McastTreeTopologySurvivesSeededFaults) {
-  const uint32_t seed = dps_testing::effective_seed(0x7ee3);
-  SCOPED_TRACE(::testing::Message() << "seed " << seed);
-  constexpr int kFanout = 8;
-  uint64_t dropped = 0;
-  for (int round = 0; round < 2; ++round) {
-    FaultPlan plan;
-    plan.seed = seed + static_cast<uint64_t>(round) * 0x9e3779b9u;
-    plan.all.drop = 0.04;
-    plan.all.duplicate_every = 6;
-    ClusterConfig cfg = ClusterConfig::inproc(4);
-    cfg.mcast_topology = McastTopology::kTree;
-    auto chaos = std::make_shared<ChaosFabric>(
-        std::make_shared<InprocFabric>(4), plan);
-    cfg.external_fabric = chaos;
-    cfg.fault.reliable = true;
-    Cluster cluster(cfg);
-    Application app(cluster, "bcast");
-    auto graph = dps_mcast::build_bcast_graph(app, kFanout);
-    ActorScope scope(cluster.domain(), "main");
-    for (int call = 0; call < 3; ++call) {
-      auto res = dps_mcast::run_bcast(
-          *graph, kFanout, 0x7ee30 + static_cast<uint64_t>(call), 1024);
-      ASSERT_TRUE(res) << "round " << round;
-      EXPECT_EQ(res->distinct, kFanout);
-      EXPECT_EQ(res->total, kFanout);
-      EXPECT_EQ(res->duplicates, 0);
-      EXPECT_EQ(res->uniform, 1);
-    }
-    dropped += chaos->frames_dropped();
-  }
-  EXPECT_GT(dropped, 0u) << "the sweep must actually have exercised loss";
-}
-
 // A link partition opened mid-collective must stall the multicast (reliable
 // retransmission keeps trying), and healing the link must let the same call
 // complete exactly-once — no loss, no duplicate deliveries from the
