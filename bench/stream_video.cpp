@@ -159,15 +159,18 @@ int main(int argc, char** argv) {
                                             job->encode_passes);
   }
 
-  std::printf("\n%-10s %-8s %-11s %-11s %s\n", "offered", "frames",
-              "sustained", "p99 total", "per-stage p50/p99 (ms)");
+  // "emitted" is the rate the source actually offered: when it falls short
+  // of "offered" the pacer missed, otherwise a low "sustained" means the
+  // pipeline saturated.
+  std::printf("\n%-10s %-8s %-11s %-11s %-11s %s\n", "offered", "frames",
+              "emitted", "sustained", "p99 total", "per-stage p50/p99 (ms)");
   int violations = 0;
   for (int ph = 0; ph < done->phases; ++ph) {
     const apps::StreamPhaseStats& p = done->phase[ph];
     std::printf(
-        "%7.0f/s %-8d %8.1f/s %8.2f ms  dec %.2f/%.2f  ana %.2f/%.2f  "
-        "enc %.2f/%.2f\n",
-        rates[static_cast<size_t>(ph)], p.frames, p.sustained_hz,
+        "%7.0f/s %-8d %8.1f/s %8.1f/s %8.2f ms  dec %.2f/%.2f  "
+        "ana %.2f/%.2f  enc %.2f/%.2f\n",
+        rates[static_cast<size_t>(ph)], p.frames, p.emit_hz, p.sustained_hz,
         p.p99_total * 1e3, p.p50_decode * 1e3, p.p99_decode * 1e3,
         p.p50_analyze * 1e3, p.p99_analyze * 1e3, p.p50_encode * 1e3,
         p.p99_encode * 1e3);

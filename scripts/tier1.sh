@@ -38,11 +38,20 @@
 set -uo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
+echo "tier1: host $(uname -n) has $(nproc) hardware threads; building with -j $JOBS"
 
 failures=0
+skipped=()  # "stage (reason)" of every skip, repeated under the summary
 pass() { echo "== PASS: $1"; }
 fail() { echo "== FAIL: $1"; failures=$((failures + 1)); }
-skip() { echo "== SKIP: $1 ($2)"; }
+skip() { echo "== SKIP: $1 ($2)"; skipped+=("$1 ($2)"); }
+list_skips() {
+  if [ "${#skipped[@]}" -eq 0 ]; then
+    echo "  no stage was skipped"
+    return
+  fi
+  for s in "${skipped[@]}"; do echo "  SKIP: $s"; done
+}
 
 run_preset() {  # run_preset <name> — configure + build + ctest one preset
   cmake --preset "$1" &&
@@ -159,10 +168,12 @@ fi
 
 echo
 if [ "$failures" -ne 0 ]; then
-  echo "tier1: $failures stage(s) FAILED"
+  echo "tier1: $failures stage(s) FAILED on $(nproc) hardware threads"
+  list_skips
   exit 1
 fi
-echo "tier1: all stages passed (or were skipped explicitly)"
+echo "tier1: all stages passed (or were skipped explicitly) on $(nproc) hardware threads"
+list_skips
 
 if [ "${DPS_BENCH_SMOKE:-0}" != "1" ]; then
   exit 0

@@ -150,9 +150,11 @@ inline uint64_t stream_frame_checksum(int frame, int frame_bytes,
   return stream_stage_work(data.data(), data.size(), encode_passes, c);
 }
 
-/// Paced source: emits each phase's frames at its configured rate. Under
-/// wall clock sleepFor really sleeps, so the offered load is real; under
-/// virtual time the pacing advances the simulated clock.
+/// Paced source: emits each phase's frames at its configured rate. Frame k
+/// of a phase is due k+1 gaps after the phase starts; the source sleeps only
+/// until that deadline, so time spent posting (and oversleep) never adds
+/// up. Under wall clock sleepFor really sleeps, so the offered load is
+/// real; under virtual time the pacing advances the simulated clock.
 class StreamSource
     : public SplitOperation<StreamSourceThread, TV1(StreamJobToken),
                             TV1(StreamFrameToken)> {
@@ -165,8 +167,10 @@ class StreamSource
     int frame_id = 0;
     for (int ph = 0; ph < in->phases; ++ph) {
       const double gap = in->rate_hz[ph] > 0 ? 1.0 / in->rate_hz[ph] : 0.0;
+      const double start = now();
       for (int f = 0; f < in->frames[ph]; ++f, ++frame_id) {
-        if (gap > 0) sleepFor(gap);
+        const double wait = start + (f + 1) * gap - now();
+        if (wait > 0) sleepFor(wait);
         auto* t = new StreamFrameToken();
         t->frame = frame_id;
         t->phase = ph;

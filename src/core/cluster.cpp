@@ -90,35 +90,28 @@ Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
         break;
     }
   }
-  services_ = std::make_unique<NameRegistry>(*domain_);
-  controllers_.reserve(n);
-  for (NodeId i = 0; i < n; ++i) {
-    controllers_.push_back(std::make_unique<Controller>(*this, i));
-    Controller* c = controllers_.back().get();
-    if (is_local(i)) {
-      fabric_->attach(i,
-                      [c](NodeMessage&& msg) { c->on_fabric(std::move(msg)); });
-      // Batching fabrics (TCP) prefer grouped delivery: one controller
-      // entry per received chunk instead of one per frame.
-      fabric_->attach_batch(i, [c](std::vector<NodeMessage>&& msgs) {
-        c->on_fabric_batch(std::move(msgs));
-      });
-    }
-  }
-
   if (config_.fault.enabled()) {
     if (simulated()) {
       DPS_WARN(
           "fault tolerance (reliable delivery / heartbeats) is a wall-clock "
           "mechanism and is disabled under virtual time");
     } else {
-      ft_active_ = true;
-      for (NodeId i = 0; i < n; ++i) {
-        if (is_local(i)) controllers_[i]->enable_fault_tolerance();
-      }
-      monitor_ = std::thread([this] { monitor_loop(); });
+      reliable_ = std::make_shared<ReliableFabric>(fabric_, n, config_.fault);
+      fabric_ = reliable_;
     }
   }
+  services_ = std::make_unique<NameRegistry>(*domain_);
+  controllers_.reserve(n);
+  for (NodeId i = 0; i < n; ++i) {
+    controllers_.push_back(std::make_unique<Controller>(*this, i));
+    Controller* c = controllers_.back().get();
+    if (is_local(i)) {
+      fabric_->attach_batch(i, [c](std::vector<NodeMessage>&& msgs) {
+        c->on_fabric_batch(std::move(msgs));
+      });
+    }
+  }
+  if (reliable_) monitor_ = std::thread([this] { monitor_loop(); });
 }
 
 Cluster::~Cluster() { shutdown(); }
@@ -386,8 +379,11 @@ void Cluster::mark_node_down(NodeId node, const std::string& reason) {
   obs::Trace::instance().record(obs::EventKind::kNodeDown, node, node, 0, 0,
                                 0);
 #endif
+  // Stop retransmitting into the void, then unblock flow-control waiters
+  // whose credits died with the node.
+  if (reliable_) reliable_->peer_down(node);
   for (NodeId i = 0; i < controllers_.size(); ++i) {
-    if (is_local(i)) controllers_[i]->on_node_down(node);
+    if (is_local(i)) controllers_[i]->poison_flow_accounts();
   }
   fail_all_calls(Errc::kNodeDown,
                  "node '" + node_name(node) + "' declared down: " + reason);
@@ -437,7 +433,7 @@ void Cluster::monitor_loop() {
     if (ft.reliable) {
       for (NodeId i : live) {
         if (!is_local(i)) continue;
-        for (NodeId suspect : controllers_[i]->reliability_tick(now)) {
+        for (NodeId suspect : reliable_->tick(i, now)) {
           if (!ft.heartbeat) {
             // No heartbeat adjudication: the retry budget is the only
             // failure signal, so act on it directly.
@@ -451,7 +447,7 @@ void Cluster::monitor_loop() {
     if (now >= next_beacon) {
       next_beacon = now + ft.heartbeat_period;
       for (NodeId i : live) {
-        if (is_local(i)) controllers_[i]->send_heartbeats(now);
+        if (is_local(i)) reliable_->send_heartbeats(i);
       }
     }
 
@@ -471,7 +467,7 @@ void Cluster::monitor_loop() {
     for (NodeId i : live) {
       if (!is_local(i)) continue;
       std::set<NodeId> s;
-      for (NodeId p : controllers_[i]->stale_peers(now, threshold)) {
+      for (NodeId p : reliable_->stale_peers(i, now, threshold)) {
         if (live.count(p) != 0) s.insert(p);
       }
       if (s.size() >= live.size() - 1) isolated.insert(i);

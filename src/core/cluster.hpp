@@ -35,6 +35,7 @@
 #include "net/fabric.hpp"
 #include "util/thread_annotations.hpp"
 #include "net/name_registry.hpp"
+#include "net/reliable_fabric.hpp"
 #include "sim/link.hpp"
 
 namespace dps {
@@ -42,28 +43,6 @@ namespace dps {
 class Application;
 class Controller;
 class ThreadCollectionBase;
-
-/// Fault-tolerance knobs (docs/FAULT_TOLERANCE.md). Both features are
-/// wall-clock mechanisms and are ignored (with a warning) under virtual
-/// time. Defaults are tuned for loopback/in-process latencies.
-struct FaultToleranceConfig {
-  /// Reliable envelope delivery: sequence numbers per (src,dst) link,
-  /// cumulative acks piggybacked on traffic, retransmission with
-  /// exponential backoff + jitter, duplicate suppression on receive.
-  bool reliable = false;
-  /// Heartbeat failure detection: nodes beacon each other; a silent node
-  /// is declared dead and in-flight graph calls fail with Error(kNodeDown).
-  bool heartbeat = false;
-
-  double heartbeat_period = 0.02;   ///< seconds between beacons
-  int heartbeat_miss = 5;           ///< silent periods before declared dead
-  double rto_initial = 0.005;       ///< first retransmit timeout, seconds
-  double rto_max = 0.2;             ///< backoff cap, seconds
-  int max_retries = 12;             ///< retry budget before peer is suspect
-  double tick_interval = 0.002;     ///< monitor thread granularity, seconds
-
-  bool enabled() const { return reliable || heartbeat; }
-};
 
 struct ClusterConfig {
   enum class FabricKind { kInproc, kTcp, kSim, kShm };
@@ -93,8 +72,9 @@ struct ClusterConfig {
   /// made of bi-processor Pentium III machines.
   int sim_cpus_per_node = 2;
 
-  /// Reliable delivery + failure detection (off by default: fault-free
-  /// fabrics pay zero overhead and keep their exact frame accounting).
+  /// Reliable delivery + failure detection (net/reliable_fabric.hpp; off
+  /// by default: fault-free fabrics pay zero overhead and keep their exact
+  /// frame accounting).
   FaultToleranceConfig fault;
 
   /// Idle workers steal dispatchable work from sibling workers of the same
@@ -138,7 +118,11 @@ class Cluster {
   // --- failure detection (docs/FAULT_TOLERANCE.md) --------------------------
   /// Whether the fault-tolerance layer is running (configured and not
   /// under virtual time).
-  bool fault_tolerant() const { return ft_active_; }
+  bool fault_tolerant() const { return reliable_ != nullptr; }
+
+  /// The reliability decorator wrapped around the transport; null when
+  /// fault tolerance is off.
+  ReliableFabric* reliable_fabric() { return reliable_.get(); }
 
   /// Declares `node` failed: records it, fails every in-flight graph call
   /// with Error(kNodeDown), and unblocks local flow-control waiters so no
@@ -263,7 +247,7 @@ class Cluster {
 
   // Fault-tolerance driver: one wall-clock thread per cluster sending
   // heartbeats, running retransmit timers, and adjudicating node death.
-  bool ft_active_ = false;
+  std::shared_ptr<ReliableFabric> reliable_;  ///< also fabric_ when set
   std::thread monitor_;
   Mutex monitor_mu_;
   CondVar monitor_cv_;

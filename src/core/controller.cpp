@@ -5,8 +5,6 @@
 #include <deque>
 #include <optional>
 
-#include <cstring>
-
 #include "core/flow_adapt.hpp"
 
 #include "core/application.hpp"
@@ -16,7 +14,6 @@
 #include "core/thread_collection.hpp"
 #include "serial/buffer_pool.hpp"
 #include "util/logging.hpp"
-#include "util/stopwatch.hpp"
 
 #ifdef DPS_TRACE
 #include "obs/metrics.hpp"
@@ -32,17 +29,6 @@ bool accepts(const Flowgraph::Vertex& v, uint64_t type_id) {
     if (id == type_id) return true;
   }
   return false;
-}
-
-/// Wire prefix of a kReliable frame: [u64 seq][u64 cumulative ack][u16
-/// inner kind]. Written as a placeholder at encode time and patched once
-/// the link assigns the sequence number (single-buffer reliable path).
-constexpr size_t kRelSeqOffset = 0;
-constexpr size_t kRelAckOffset = sizeof(uint64_t);
-constexpr size_t kRelHeaderSize = 2 * sizeof(uint64_t) + sizeof(uint16_t);
-
-void patch_u64(std::vector<std::byte>& buf, size_t offset, uint64_t value) {
-  std::memcpy(buf.data() + offset, &value, sizeof(value));
 }
 
 }  // namespace
@@ -127,36 +113,78 @@ struct Controller::FlowAccount {
   std::deque<double> sends DPS_GUARDED_BY(mu);
 };
 
-/// Per-peer reliable-delivery state (docs/FAULT_TOLERANCE.md). One link per
-/// (this node, peer) pair, lazily created, guarded by rel_mu_.
-struct Controller::ReliableLink {
-  // --- sender side ---
-  struct Pending {
-    FrameKind kind;
-    /// The full kReliable frame ([seq|ack|kind|payload]) as first sent.
-    /// Kept whole so a retransmit only patches the ack field and copies —
-    /// no re-wrap, and the buffer recycles through the pool once acked.
-    std::vector<std::byte> wrapped;
-    /// Shared multicast body appended after `wrapped` on every transmit;
-    /// null for ordinary frames. Dropped (not released) on ack — the last
-    /// per-link reference frees the one encoded payload.
-    SharedPayload body;
-    double next_due = 0;             ///< wall-clock retransmit deadline
-    double rto = 0;                  ///< current backoff interval
-    int retries = 0;
+/// Collects the envelopes decoded from one receive chunk, grouped by
+/// destination worker, so the flush costs one lock + one notify per worker
+/// instead of one per frame. The group list is a small linear vector: a
+/// node hosts few workers and a chunk rarely fans out to more than a
+/// handful of them.
+class Controller::DeliveryBatch {
+ public:
+  explicit DeliveryBatch(Controller& controller) : controller_(controller) {}
+  DeliveryBatch(const DeliveryBatch&) = delete;
+  DeliveryBatch& operator=(const DeliveryBatch&) = delete;
+  ~DeliveryBatch() { flush(); }
+
+  void add(Envelope&& env) {
+    Worker& w = controller_.worker(env.collection, env.thread);
+    for (auto& g : groups_) {
+      if (g.worker == &w) {
+        g.envs.push_back(std::move(env));
+        return;
+      }
+    }
+    groups_.push_back(Group{&w, {}});
+    groups_.back().envs.push_back(std::move(env));
+  }
+
+  void flush() {
+    for (auto& g : groups_) {
+      append(controller_, *g.worker, g.envs.data(), g.envs.size());
+    }
+    groups_.clear();
+  }
+
+  /// Appends `n` envelopes to `w`'s inbox under one lock acquisition and
+  /// wakes the worker once.
+  static void append(Controller& c, Worker& w, Envelope* envs, size_t n) {
+#ifdef DPS_TRACE
+    const bool t_on = obs::tracing_active();
+#endif
+    MutexLock lock(w.mu);
+    for (size_t i = 0; i < n; ++i) {
+#ifdef DPS_TRACE
+      if (t_on) {
+        obs::Trace::instance().record(obs::EventKind::kEnqueue, c.self_,
+                                      envs[i].vertex, w.collection, w.index,
+                                      w.inbox.size() + 1);
+      }
+#endif
+      w.inbox.push_back(std::move(envs[i]));
+    }
+    w.inbox_count.fetch_add(static_cast<uint32_t>(n),
+                            std::memory_order_relaxed);
+    if (w.depth_slot != nullptr) {
+      w.depth_slot->fetch_add(static_cast<uint32_t>(n),
+                              std::memory_order_relaxed);
+    }
+#ifdef DPS_TRACE
+    if (t_on) {
+      static obs::Gauge& depth_gauge =
+          obs::Metrics::instance().gauge("dps.queue.depth");
+      depth_gauge.set(static_cast<int64_t>(w.inbox.size()));
+      depth_gauge.update_max(static_cast<int64_t>(w.inbox.size()));
+    }
+#endif
+    c.cluster_.domain().notify_all(w.wp);
+  }
+
+ private:
+  struct Group {
+    Worker* worker;
+    std::vector<Envelope> envs;
   };
-  uint64_t next_seq = 1;               ///< next sequence number to assign
-  std::map<uint64_t, Pending> unacked;  ///< sent, not yet cumulatively acked
-
-  // --- receiver side ---
-  uint64_t rx_contig = 0;          ///< highest seq with all predecessors seen
-  std::set<uint64_t> rx_above;     ///< received out of order, > rx_contig
-  uint64_t acked_sent = 0;         ///< highest cumulative ack we transmitted
-  bool ack_pending = false;        ///< delivery since last ack we sent
-
-  // --- liveness ---
-  double last_heard = 0;  ///< wall clock of last frame from this peer
-  bool dead = false;      ///< peer declared down; link is a black hole
+  Controller& controller_;
+  std::vector<Group> groups_;
 };
 
 // ---------------------------------------------------------------------------
@@ -526,12 +554,7 @@ class Controller::ExecCtx : public detail::OpServices {
       Writer w(BufferPool::instance().acquire(base.encoded_size()));
       base.encode(w);
       BufferPool::instance().note_growth(w.growth_count());
-      auto* vec = new std::vector<std::byte>(w.take());
-      body = SharedPayload(vec, [](const std::vector<std::byte>* p) {
-        BufferPool::instance().release(
-            std::move(*const_cast<std::vector<std::byte>*>(p)));
-        delete p;
-      });
+      body = share_pooled(w.take());
       controller_.mcast_encodes_.fetch_add(1, std::memory_order_relaxed);
     }
 
@@ -1166,106 +1189,8 @@ void Controller::send(Envelope env) {
 }
 
 void Controller::deliver_local(Envelope env) {
-  Worker& w = worker(env.collection, env.thread);
-#ifdef DPS_TRACE
-  const bool t_on = obs::tracing_active();
-  const uint64_t t_vertex = env.vertex;
-  const uint64_t t_coll = env.collection;
-  const uint64_t t_thread = env.thread;
-  uint64_t t_depth = 0;
-#endif
-  MutexLock lock(w.mu);
-  w.inbox.push_back(std::move(env));
-  w.inbox_count.fetch_add(1, std::memory_order_relaxed);
-  if (w.depth_slot != nullptr) {
-    w.depth_slot->fetch_add(1, std::memory_order_relaxed);
-  }
-#ifdef DPS_TRACE
-  if (t_on) {
-    t_depth = w.inbox.size();
-    obs::Trace::instance().record(obs::EventKind::kEnqueue, self_, t_vertex,
-                                  t_coll, t_thread, t_depth);
-    static obs::Gauge& depth_gauge =
-        obs::Metrics::instance().gauge("dps.queue.depth");
-    depth_gauge.set(static_cast<int64_t>(t_depth));
-    depth_gauge.update_max(static_cast<int64_t>(t_depth));
-  }
-#endif
-  cluster_.domain().notify_all(w.wp);
+  DeliveryBatch::append(*this, worker(env.collection, env.thread), &env, 1);
 }
-
-// ---------------------------------------------------------------------------
-// Batched fabric delivery
-// ---------------------------------------------------------------------------
-
-/// Collects the envelopes decoded from one receive chunk, grouped by
-/// destination worker, so the flush costs one lock + one notify per worker
-/// instead of one per frame. The group list is a small linear vector: a
-/// node hosts few workers and a chunk rarely fans out to more than a
-/// handful of them.
-class Controller::DeliveryBatch {
- public:
-  explicit DeliveryBatch(Controller& controller) : controller_(controller) {}
-  DeliveryBatch(const DeliveryBatch&) = delete;
-  DeliveryBatch& operator=(const DeliveryBatch&) = delete;
-  ~DeliveryBatch() { flush(); }
-
-  void add(Envelope&& env) {
-    Worker& w = controller_.worker(env.collection, env.thread);
-    for (auto& g : groups_) {
-      if (g.worker == &w) {
-        g.envs.push_back(std::move(env));
-        return;
-      }
-    }
-    groups_.push_back(Group{&w, {}});
-    groups_.back().envs.push_back(std::move(env));
-  }
-
-  void flush() {
-    for (auto& g : groups_) {
-      Worker& w = *g.worker;
-      const uint32_t n = static_cast<uint32_t>(g.envs.size());
-#ifdef DPS_TRACE
-      const bool t_on = obs::tracing_active();
-#endif
-      MutexLock lock(w.mu);
-      for (Envelope& env : g.envs) {
-#ifdef DPS_TRACE
-        if (t_on) {
-          obs::Trace::instance().record(obs::EventKind::kEnqueue,
-                                        controller_.self(), env.vertex,
-                                        w.collection, w.index,
-                                        w.inbox.size() + 1);
-        }
-#endif
-        w.inbox.push_back(std::move(env));
-      }
-      w.inbox_count.fetch_add(n, std::memory_order_relaxed);
-      if (w.depth_slot != nullptr) {
-        w.depth_slot->fetch_add(n, std::memory_order_relaxed);
-      }
-#ifdef DPS_TRACE
-      if (t_on) {
-        static obs::Gauge& depth_gauge =
-            obs::Metrics::instance().gauge("dps.queue.depth");
-        depth_gauge.set(static_cast<int64_t>(w.inbox.size()));
-        depth_gauge.update_max(static_cast<int64_t>(w.inbox.size()));
-      }
-#endif
-      controller_.cluster_.domain().notify_all(w.wp);
-    }
-    groups_.clear();
-  }
-
- private:
-  struct Group {
-    Worker* worker;
-    std::vector<Envelope> envs;
-  };
-  Controller& controller_;
-  std::vector<Group> groups_;
-};
 
 void Controller::send_reply(Envelope env) {
   if (env.call_reply_node == self_) {
@@ -1275,193 +1200,113 @@ void Controller::send_reply(Envelope env) {
   send_envelope(env.call_reply_node, FrameKind::kCallReply, env);
 }
 
-void Controller::on_fabric(NodeMessage&& msg) {
-  // Non-blocking by contract: enqueue, update accounts, notify.
-  switch (msg.kind) {
-    case FrameKind::kReliable:
-      handle_reliable(std::move(msg));
-      break;
-    case FrameKind::kAck: {
-      Reader r(msg.payload.data(), msg.payload.size());
-      handle_ack(msg.from, r.get<uint64_t>());
-      break;
-    }
-    case FrameKind::kHeartbeat: {
-      Reader r(msg.payload.data(), msg.payload.size());
-      handle_ack(msg.from, r.get<uint64_t>());
-      break;
-    }
-    case FrameKind::kPeerDown: {
-      // Transport-level death report (torn TCP stream). Under fault
-      // tolerance the cluster converts it to kNodeDown on in-flight calls;
-      // otherwise it is surfaced loudly as a protocol error.
-      Reader r(msg.payload.data(), msg.payload.size());
-      const std::string reason = r.get_string();
-      if (cluster_.fault_tolerant()) {
-        cluster_.mark_node_down(msg.from, reason);
-      } else {
-        DPS_ERROR("node " << self_ << ": " << to_string(Errc::kProtocol)
-                          << ": " << reason);
-      }
-      break;
-    }
-    default:
+// --- Fabric I/O ------------------------------------------------------------
+
+void Controller::fabric_send(NodeId target, FrameKind kind,
+                             std::vector<std::byte> payload,
+                             SharedPayload body) {
 #ifdef DPS_TRACE
-      if (obs::tracing_active()) {
-        obs::Trace::instance().record(obs::EventKind::kFabricRecv, self_,
-                                      msg.from,
-                                      static_cast<uint64_t>(msg.kind), 0,
-                                      msg.payload.size());
-        static obs::Counter& received_raw =
-            obs::Metrics::instance().counter("dps.fabric.frames_received");
-        received_raw.inc();
-      }
+  if (obs::tracing_active()) {
+    obs::Trace::instance().record(
+        obs::EventKind::kFabricSend, self_, target,
+        static_cast<uint64_t>(kind), 0,
+        payload.size() + (body == nullptr ? 0 : body->size()));
+    static obs::Counter& sent =
+        obs::Metrics::instance().counter("dps.fabric.frames_sent");
+    sent.inc();
+  }
 #endif
-      handle_frame(msg.kind, msg.from, msg.payload.data(),
-                   msg.payload.size());
+  if (body != nullptr) {
+    cluster_.fabric().send_shared(self_, target, kind, std::move(payload),
+                                  std::move(body));
+  } else {
+    cluster_.fabric().send(self_, target, kind, std::move(payload));
   }
 }
 
-void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
-  // One receive chunk's worth of frames. Envelopes are grouped per worker
-  // (one inbox append + one notify each), and all reliable-link seq/ack
-  // bookkeeping for the chunk runs under a single rel_mu_ acquisition.
-  DeliveryBatch batch(*this);
-  struct RelItem {
-    size_t index;       ///< into msgs
-    uint64_t seq = 0;
-    uint64_t ack = 0;
-    FrameKind inner = FrameKind::kEnvelope;
-    size_t header = 0;
-    bool deliver = false;
-  };
-  std::vector<RelItem> rel;
-  for (size_t i = 0; i < msgs.size(); ++i) {
-    NodeMessage& msg = msgs[i];
-    switch (msg.kind) {
-      case FrameKind::kReliable: {
-        RelItem item;
-        item.index = i;
-        Reader r(msg.payload.data(), msg.payload.size());
-        item.seq = r.get<uint64_t>();
-        item.ack = r.get<uint64_t>();
-        item.inner = static_cast<FrameKind>(r.get<uint16_t>());
-        item.header = msg.payload.size() - r.remaining();
-        rel.push_back(item);
-        break;
-      }
-      case FrameKind::kAck:
-      case FrameKind::kHeartbeat:
-      case FrameKind::kPeerDown:
-        on_fabric(std::move(msg));  // rare control kinds keep the slow path
-        break;
-      default: {
+void Controller::mcast_ship(NodeId node, const McastEntry* entries, size_t n,
+                            const SharedPayload& body) {
+  Writer w(BufferPool::instance().acquire(mcast_header_size(n)));
+  encode_mcast_header(w, entries, n);
+  BufferPool::instance().note_growth(w.growth_count());
+  mcast_frames_.fetch_add(1, std::memory_order_relaxed);
 #ifdef DPS_TRACE
-        if (obs::tracing_active()) {
-          obs::Trace::instance().record(obs::EventKind::kFabricRecv, self_,
-                                        msg.from,
-                                        static_cast<uint64_t>(msg.kind), 0,
-                                        msg.payload.size());
-          static obs::Counter& received_raw =
-              obs::Metrics::instance().counter("dps.fabric.frames_received");
-          received_raw.inc();
-        }
-#endif
-        handle_frame(msg.kind, msg.from, msg.payload.data(),
-                     msg.payload.size(), &batch);
-      }
-    }
+  if (obs::tracing_active()) {
+    static obs::Counter& frames =
+        obs::Metrics::instance().counter("dps.mcast.frames");
+    frames.inc();
   }
-  if (rel.empty()) return;
+#endif
+  fabric_send(node, FrameKind::kMcastEnvelope, w.take(), body);
+}
 
-  // Dup re-acks, coalesced per peer: the last suppressed frame's
-  // cumulative ack covers every earlier one in the chunk.
-  struct PendingAck {
-    NodeId peer;
-    uint64_t val;
-  };
-  std::vector<PendingAck> acks;
-  {
-    MutexLock lock(rel_mu_);
-    for (RelItem& item : rel) {
-      const NodeId from = msgs[item.index].from;
-      ReliableLink& l = rlink_locked(from);
-      handle_ack_locked(l, from, item.ack);
-      l.last_heard = mono_seconds();
-      uint64_t ack_val = 0;
-      item.deliver = reliable_rx_locked(l, item.seq, &ack_val);
-      if (!item.deliver) {
-#ifdef DPS_TRACE
-        if (obs::tracing_active()) {
-          obs::Trace::instance().record(obs::EventKind::kDupSuppressed,
-                                        self_, from,
-                                        static_cast<uint64_t>(item.inner),
-                                        item.seq, 0);
-          static obs::Counter& dups =
-              obs::Metrics::instance().counter("dps.fabric.dup_suppressed");
-          dups.inc();
-        }
-#endif
-        bool found = false;
-        for (auto& a : acks) {
-          if (a.peer == from) {
-            a.val = ack_val;
-            found = true;
-          }
-        }
-        if (!found) acks.push_back(PendingAck{from, ack_val});
+void Controller::send_envelope(NodeId target, FrameKind kind,
+                               const Envelope& env) {
+  // One exact-size pooled allocation per cross-node envelope: encoded_size
+  // is arithmetic, so Writer never reallocates mid-encode.
+  Writer w(BufferPool::instance().acquire(env.encoded_size()));
+  env.encode(w);
+  BufferPool::instance().note_growth(w.growth_count());
+  fabric_send(target, kind, w.take());
+}
+
+void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
+  // Non-blocking by contract: enqueue, update accounts, notify.
+  DeliveryBatch batch(*this);
+  for (const NodeMessage& msg : msgs) {
+    if (msg.kind == FrameKind::kPeerDown) {
+      // Transport-level death report (torn TCP stream, or a reliability
+      // frame that did not decode).
+      std::string reason;
+      try {
+        Reader r(msg.payload.data(), msg.payload.size());
+        reason = r.get_string();
+      } catch (const Error& e) {
+        reason = e.what();
       }
+      peer_failed(msg.from, reason);
+      continue;
     }
-  }
-  for (const PendingAck& a : acks) {
-    Writer w;
-    w.put<uint64_t>(a.val);
-#ifdef DPS_TRACE
-    obs::Trace::instance().record(obs::EventKind::kAckSend, self_, a.peer, 0,
-                                  a.val, 0);
-#endif
-    try {
-      cluster_.fabric().send(self_, a.peer, FrameKind::kAck, w.take());
-    } catch (const Error&) {
-      // ack lost: the duplicate will come again
-    }
-  }
-  for (const RelItem& item : rel) {
-    if (!item.deliver) continue;
-    NodeMessage& msg = msgs[item.index];
 #ifdef DPS_TRACE
     if (obs::tracing_active()) {
       obs::Trace::instance().record(obs::EventKind::kFabricRecv, self_,
-                                    msg.from,
-                                    static_cast<uint64_t>(item.inner),
-                                    item.seq,
-                                    msg.payload.size() - item.header);
+                                    msg.from, static_cast<uint64_t>(msg.kind),
+                                    0, msg.payload.size());
       static obs::Counter& received =
           obs::Metrics::instance().counter("dps.fabric.frames_received");
       received.inc();
     }
 #endif
-    handle_frame(item.inner, msg.from, msg.payload.data() + item.header,
-                 msg.payload.size() - item.header, &batch);
+    try {
+      handle_frame(msg, batch);
+    } catch (const std::exception& e) {
+      peer_failed(msg.from, "malformed frame (kind " +
+                                std::to_string(static_cast<int>(msg.kind)) +
+                                ") from node " + std::to_string(msg.from) +
+                                ": " + e.what());
+    }
   }
   // ~DeliveryBatch flushes the grouped envelopes.
 }
 
-void Controller::handle_frame(FrameKind kind, NodeId from,
-                              const std::byte* data, size_t size,
-                              DeliveryBatch* batch) {
-  switch (kind) {
-    case FrameKind::kEnvelope: {
-      Reader r(data, size);
-      if (batch != nullptr) {
-        batch->add(Envelope::decode(r));
-      } else {
-        deliver_local(Envelope::decode(r));
-      }
+void Controller::peer_failed(NodeId peer, const std::string& reason) {
+  // Under fault tolerance the cluster converts the report into kNodeDown on
+  // in-flight calls; otherwise it is surfaced loudly as a protocol error.
+  if (cluster_.fault_tolerant() && peer < cluster_.node_count()) {
+    cluster_.mark_node_down(peer, reason);
+  } else {
+    DPS_ERROR("node " << self_ << ": " << to_string(Errc::kProtocol) << ": "
+                      << reason);
+  }
+}
+
+void Controller::handle_frame(const NodeMessage& msg, DeliveryBatch& batch) {
+  Reader r(msg.payload.data(), msg.payload.size());
+  switch (msg.kind) {
+    case FrameKind::kEnvelope:
+      batch.add(Envelope::decode(r));
       break;
-    }
     case FrameKind::kFlowAck: {
-      Reader r(data, size);
       const ContextId ctx = r.get<ContextId>();
       const uint32_t n = r.get<uint32_t>();
       // Receiver inbox depth rides as an optional trailer (wire compat
@@ -1472,30 +1317,29 @@ void Controller::handle_frame(FrameKind kind, NodeId from,
       break;
     }
     case FrameKind::kMcastEnvelope:
-      handle_mcast(from, data, size, batch);
+      handle_mcast(msg, batch);
       break;
     case FrameKind::kCallReply: {
-      Reader r(data, size);
       Envelope env = Envelope::decode(r);
       cluster_.complete_call(env.call, std::move(env.token));
       break;
     }
     default:
       DPS_WARN("node " << self_ << ": unexpected frame kind "
-                       << static_cast<int>(kind) << " from node " << from);
+                       << static_cast<int>(msg.kind) << " from node "
+                       << msg.from);
   }
 }
 
-void Controller::handle_mcast(NodeId from, const std::byte* data, size_t size,
-                              DeliveryBatch* batch) {
-  Reader r(data, size);
+void Controller::handle_mcast(const NodeMessage& msg, DeliveryBatch& batch) {
+  Reader r(msg.payload.data(), msg.payload.size());
   const std::vector<McastEntry> entries = decode_mcast_header(r);
   // Fan-out is flat: the poster sends each node only that node's entries,
   // so an entry for another node means a corrupt or foreign frame.
   for (const McastEntry& e : entries) {
     if (e.node != self_) {
       raise(Errc::kProtocol,
-            "multicast frame from node " + std::to_string(from) +
+            "multicast frame from node " + std::to_string(msg.from) +
                 " lists a destination on node " + std::to_string(e.node));
     }
   }
@@ -1508,17 +1352,13 @@ void Controller::handle_mcast(NodeId from, const std::byte* data, size_t size,
     Envelope env = base;  // token pointer shared, not re-decoded
     env.thread = static_cast<ThreadIndex>(e.thread);
     env.frames.back().seq = e.seq;
-    if (batch != nullptr) {
-      batch->add(std::move(env));
-    } else {
-      deliver_local(std::move(env));
-    }
+    batch.add(std::move(env));
   }
 #ifdef DPS_TRACE
   if (!entries.empty() && obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kMcastDeliver, self_,
-                                  base.vertex, entries.size(), entries.size(),
-                                  size - mcast_header_size(entries.size()));
+    obs::Trace::instance().record(
+        obs::EventKind::kMcastDeliver, self_, base.vertex, entries.size(),
+        entries.size(), msg.payload.size() - mcast_header_size(entries.size()));
     static obs::Counter& deliveries =
         obs::Metrics::instance().counter("dps.mcast.deliveries");
     deliveries.inc(entries.size());
@@ -1656,6 +1496,23 @@ void Controller::send_flow_ack(const SplitFrame& frame, uint32_t n,
   fabric_send(frame.split_node, FrameKind::kFlowAck, w.take());
 }
 
+void Controller::poison_flow_accounts() {
+  MutexLock lock(flow_mu_);
+  for (auto it = accounts_.begin(); it != accounts_.end();) {
+    bool reap = false;
+    {
+      MutexLock al(it->second->mu);
+      it->second->poison = true;
+      cluster_.domain().notify_all(it->second->wp);
+      // An already-finished account was only waiting for credits that will
+      // never arrive now — erase it here, or it leaks until the controller
+      // dies (the pre-poison-fix window leak).
+      reap = it->second->finished;
+    }
+    it = reap ? accounts_.erase(it) : std::next(it);
+  }
+}
+
 // --- Service-mesh admission (docs/SERVICE_MESH.md) ---------------------------
 
 void Controller::admit_call(TenantId tenant, const Flowgraph& target) {
@@ -1760,454 +1617,6 @@ uint32_t Controller::tenant_window(TenantId tenant) const {
 size_t Controller::flow_account_count() const {
   MutexLock lock(flow_mu_);
   return accounts_.size();
-}
-
-// --- Fault tolerance (docs/FAULT_TOLERANCE.md) -------------------------------
-//
-// Lock discipline: rel_mu_ is never held across a fabric send. The inproc
-// fabric delivers synchronously on the calling thread, so a send made under
-// rel_mu_ could re-enter this controller (peer's ack) and self-deadlock.
-// Frames are built under the lock and shipped after it is released.
-
-void Controller::enable_fault_tolerance() {
-  const FaultToleranceConfig& ft = cluster_.config().fault;
-  reliable_ = ft.reliable;
-  heartbeat_ = ft.heartbeat;
-  const double now = mono_seconds();
-  MutexLock lock(rel_mu_);
-  for (NodeId peer = 0; peer < cluster_.node_count(); ++peer) {
-    if (peer == self_) continue;
-    rlink_locked(peer).last_heard = now;  // grace period from arming time
-  }
-}
-
-Controller::ReliableLink& Controller::rlink_locked(NodeId peer) {
-  auto it = rlinks_.find(peer);
-  if (it == rlinks_.end()) {
-    it = rlinks_.emplace(peer, std::make_unique<ReliableLink>()).first;
-  }
-  return *it->second;
-}
-
-void Controller::fabric_send(NodeId target, FrameKind kind,
-                             std::vector<std::byte> payload) {
-  if (!reliable_) {
-#ifdef DPS_TRACE
-    if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kFabricSend, self_,
-                                    target, static_cast<uint64_t>(kind), 0,
-                                    payload.size());
-      static obs::Counter& sent_raw =
-          obs::Metrics::instance().counter("dps.fabric.frames_sent");
-      sent_raw.inc();
-    }
-#endif
-    cluster_.fabric().send(self_, target, kind, std::move(payload));
-    return;
-  }
-  Writer w(BufferPool::instance().acquire(kRelHeaderSize + payload.size()));
-  w.put<uint64_t>(0);  // seq placeholder, patched under rel_mu_
-  w.put<uint64_t>(0);  // cumulative-ack placeholder
-  w.put<uint16_t>(static_cast<uint16_t>(kind));
-  w.put_raw(payload.data(), payload.size());
-  send_reliable_wrapped(target, kind, w.take());
-}
-
-void Controller::fabric_send_shared(NodeId target, FrameKind kind,
-                                    std::vector<std::byte> prefix,
-                                    SharedPayload body) {
-  if (!reliable_) {
-#ifdef DPS_TRACE
-    if (obs::tracing_active()) {
-      obs::Trace::instance().record(
-          obs::EventKind::kFabricSend, self_, target,
-          static_cast<uint64_t>(kind), 0,
-          prefix.size() + (body == nullptr ? 0 : body->size()));
-      static obs::Counter& sent_raw =
-          obs::Metrics::instance().counter("dps.fabric.frames_sent");
-      sent_raw.inc();
-    }
-#endif
-    cluster_.fabric().send_shared(self_, target, kind, std::move(prefix),
-                                  std::move(body));
-    return;
-  }
-  // Only the small per-receiver prefix is wrapped with [seq|ack|kind]; the
-  // shared body stays outside the sequenced buffer and rides every
-  // (re)transmit of this link's frame untouched.
-  Writer w(BufferPool::instance().acquire(kRelHeaderSize + prefix.size()));
-  w.put<uint64_t>(0);  // seq placeholder, patched under rel_mu_
-  w.put<uint64_t>(0);  // cumulative-ack placeholder
-  w.put<uint16_t>(static_cast<uint16_t>(kind));
-  w.put_raw(prefix.data(), prefix.size());
-  BufferPool::instance().release(std::move(prefix));
-  send_reliable_wrapped(target, kind, w.take(), std::move(body));
-}
-
-void Controller::mcast_ship(NodeId node, const McastEntry* entries, size_t n,
-                            const SharedPayload& body) {
-  Writer w(BufferPool::instance().acquire(mcast_header_size(n)));
-  encode_mcast_header(w, entries, n);
-  BufferPool::instance().note_growth(w.growth_count());
-  mcast_frames_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
-  if (obs::tracing_active()) {
-    static obs::Counter& frames =
-        obs::Metrics::instance().counter("dps.mcast.frames");
-    frames.inc();
-  }
-#endif
-  fabric_send_shared(node, FrameKind::kMcastEnvelope, w.take(), body);
-}
-
-void Controller::send_envelope(NodeId target, FrameKind kind,
-                               const Envelope& env) {
-  // One exact-size pooled allocation per cross-node envelope: encoded_size
-  // is arithmetic, so Writer never reallocates mid-encode, and in reliable
-  // mode the kReliable header shares the same buffer instead of re-wrapping
-  // the encoded payload through a second writer (the old double copy).
-  const size_t body = env.encoded_size();
-  if (!reliable_) {
-    Writer w(BufferPool::instance().acquire(body));
-    env.encode(w);
-    BufferPool::instance().note_growth(w.growth_count());
-#ifdef DPS_TRACE
-    if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kFabricSend, self_,
-                                    target, static_cast<uint64_t>(kind), 0,
-                                    w.size());
-      static obs::Counter& sent_raw =
-          obs::Metrics::instance().counter("dps.fabric.frames_sent");
-      sent_raw.inc();
-    }
-#endif
-    cluster_.fabric().send(self_, target, kind, w.take());
-    return;
-  }
-  Writer w(BufferPool::instance().acquire(kRelHeaderSize + body));
-  w.put<uint64_t>(0);  // seq placeholder, patched under rel_mu_
-  w.put<uint64_t>(0);  // cumulative-ack placeholder
-  w.put<uint16_t>(static_cast<uint16_t>(kind));
-  env.encode(w);
-  BufferPool::instance().note_growth(w.growth_count());
-  send_reliable_wrapped(target, kind, w.take());
-}
-
-void Controller::send_reliable_wrapped(NodeId target, FrameKind kind,
-                                       std::vector<std::byte> wrapped,
-                                       SharedPayload body) {
-  const FaultToleranceConfig& ft = cluster_.config().fault;
-  std::vector<std::byte> out;
-#ifdef DPS_TRACE
-  uint64_t t_seq = 0;
-  const uint64_t t_size = wrapped.size() - kRelHeaderSize +
-                          (body == nullptr ? 0 : body->size());
-#endif
-  {
-    MutexLock lock(rel_mu_);
-    ReliableLink& l = rlink_locked(target);
-    if (l.dead) {
-      // Peer declared down: the link is a black hole.
-      BufferPool::instance().release(std::move(wrapped));
-      return;
-    }
-    const uint64_t seq = l.next_seq++;
-#ifdef DPS_TRACE
-    t_seq = seq;
-#endif
-    patch_u64(wrapped, kRelSeqOffset, seq);
-    patch_u64(wrapped, kRelAckOffset, l.rx_contig);  // piggybacked ack
-    l.acked_sent = std::max(l.acked_sent, l.rx_contig);
-    l.ack_pending = false;
-    ReliableLink::Pending p;
-    p.kind = kind;
-    p.wrapped = std::move(wrapped);
-    p.body = body;
-    p.rto = ft.rto_initial;
-    p.next_due = mono_seconds() + p.rto;
-    out = p.wrapped;  // the in-flight copy; the original arms retransmission
-    l.unacked.emplace(seq, std::move(p));
-  }
-#ifdef DPS_TRACE
-  if (obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kFabricSend, self_, target,
-                                  static_cast<uint64_t>(kind), t_seq, t_size);
-    static obs::Counter& sent =
-        obs::Metrics::instance().counter("dps.fabric.frames_sent");
-    sent.inc();
-  }
-#endif
-  try {
-    if (body != nullptr) {
-      cluster_.fabric().send_shared(self_, target, FrameKind::kReliable,
-                                    std::move(out), std::move(body));
-    } else {
-      cluster_.fabric().send(self_, target, FrameKind::kReliable,
-                             std::move(out));
-    }
-  } catch (const Error& e) {
-    // A torn transport is just a lossy link here: the retransmission timer
-    // retries until the ack arrives or the peer is declared down.
-    DPS_DEBUG("node " << self_ << ": send to " << target
-                      << " failed, will retransmit: " << e.what());
-  }
-}
-
-/// Receive-side bookkeeping for one sequenced frame; shared by the single
-/// and batched delivery paths. On a duplicate (retransmission that crossed
-/// our ack, or an injected copy) returns false and leaves the cumulative
-/// ack to re-send in *ack_val so the sender stops.
-bool Controller::reliable_rx_locked(ReliableLink& l, uint64_t seq,
-                                    uint64_t* ack_val) {
-  if (seq <= l.rx_contig || l.rx_above.count(seq) != 0) {
-    dup_suppressed_.fetch_add(1, std::memory_order_relaxed);
-    *ack_val = l.rx_contig;
-    l.acked_sent = std::max(l.acked_sent, l.rx_contig);
-    l.ack_pending = false;
-    return false;
-  }
-  if (seq == l.rx_contig + 1) {
-    ++l.rx_contig;
-    while (l.rx_above.erase(l.rx_contig + 1) != 0) ++l.rx_contig;
-  } else {
-    l.rx_above.insert(seq);
-  }
-  l.ack_pending = true;  // flushed by the next tick or piggybacked
-  return true;
-}
-
-void Controller::handle_reliable(NodeMessage&& msg, DeliveryBatch* batch) {
-  Reader r(msg.payload.data(), msg.payload.size());
-  const uint64_t seq = r.get<uint64_t>();
-  const uint64_t ack = r.get<uint64_t>();
-  const FrameKind inner = static_cast<FrameKind>(r.get<uint16_t>());
-  const size_t header = msg.payload.size() - r.remaining();
-
-  bool deliver = false;
-  bool ack_now = false;
-  uint64_t ack_val = 0;
-  {
-    MutexLock lock(rel_mu_);
-    ReliableLink& l = rlink_locked(msg.from);
-    handle_ack_locked(l, msg.from, ack);
-    l.last_heard = mono_seconds();
-    deliver = reliable_rx_locked(l, seq, &ack_val);
-    ack_now = !deliver;
-  }
-#ifdef DPS_TRACE
-  if (!deliver && obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kDupSuppressed, self_,
-                                  msg.from, static_cast<uint64_t>(inner),
-                                  seq, 0);
-    static obs::Counter& dups =
-        obs::Metrics::instance().counter("dps.fabric.dup_suppressed");
-    dups.inc();
-  }
-#endif
-  if (ack_now) {
-    Writer w;
-    w.put<uint64_t>(ack_val);
-#ifdef DPS_TRACE
-    obs::Trace::instance().record(obs::EventKind::kAckSend, self_, msg.from, 0,
-                                  ack_val, 0);
-#endif
-    try {
-      cluster_.fabric().send(self_, msg.from, FrameKind::kAck, w.take());
-    } catch (const Error&) {
-      // ack lost: the duplicate will come again
-    }
-  }
-  if (deliver) {
-#ifdef DPS_TRACE
-    if (obs::tracing_active()) {
-      obs::Trace::instance().record(obs::EventKind::kFabricRecv, self_,
-                                    msg.from, static_cast<uint64_t>(inner),
-                                    seq, msg.payload.size() - header);
-      static obs::Counter& received =
-          obs::Metrics::instance().counter("dps.fabric.frames_received");
-      received.inc();
-    }
-#endif
-    // Frames are self-contained engine messages: out-of-order delivery is
-    // harmless (merge contexts collect by SplitFrame, not arrival order),
-    // so deliver immediately instead of buffering behind the gap.
-    handle_frame(inner, msg.from, msg.payload.data() + header,
-                 msg.payload.size() - header, batch);
-  }
-}
-
-void Controller::handle_ack_locked(ReliableLink& l, NodeId from,
-                                   uint64_t ack) {
-#ifdef DPS_TRACE
-  obs::Trace::instance().record(obs::EventKind::kAckRecv, self_, from, 0, ack,
-                                0);
-#else
-  (void)from;
-#endif
-  auto end = l.unacked.upper_bound(ack);
-  for (auto it = l.unacked.begin(); it != end; ++it) {
-    BufferPool::instance().release(std::move(it->second.wrapped));
-  }
-  l.unacked.erase(l.unacked.begin(), end);
-}
-
-void Controller::handle_ack(NodeId from, uint64_t ack) {
-  MutexLock lock(rel_mu_);
-  ReliableLink& l = rlink_locked(from);
-  l.last_heard = mono_seconds();
-  handle_ack_locked(l, from, ack);
-}
-
-std::vector<NodeId> Controller::reliability_tick(double now) {
-  const FaultToleranceConfig& ft = cluster_.config().fault;
-  struct Out {
-    NodeId to;
-    FrameKind kind;
-    std::vector<std::byte> payload;
-    SharedPayload body;  ///< shared multicast payload; null for most frames
-  };
-  std::vector<Out> outs;
-  std::vector<NodeId> suspects;
-  {
-    MutexLock lock(rel_mu_);
-    for (auto& [peer, lp] : rlinks_) {
-      ReliableLink& l = *lp;
-      if (l.dead) continue;
-      if (l.ack_pending && l.rx_contig > l.acked_sent) {
-        Writer w;
-        w.put<uint64_t>(l.rx_contig);
-#ifdef DPS_TRACE
-        obs::Trace::instance().record(obs::EventKind::kAckSend, self_, peer, 0,
-                                      l.rx_contig, 0);
-#endif
-        outs.push_back({peer, FrameKind::kAck, w.take(), nullptr});
-        l.acked_sent = l.rx_contig;
-        l.ack_pending = false;
-      }
-      for (auto& [seq, p] : l.unacked) {
-        if (p.next_due > now) continue;
-        if (p.retries >= ft.max_retries) {
-          suspects.push_back(peer);
-          break;
-        }
-        ++p.retries;
-        p.rto = std::min(p.rto * 2, ft.rto_max);
-        // Deterministic jitter (from the seq, not a clock) de-synchronizes
-        // retransmit bursts without breaking run-to-run reproducibility.
-        p.next_due = now + p.rto * (1.0 + 0.25 * static_cast<double>(
-                                              (seq * 2654435761ULL) % 97) / 97.0);
-        // The pending buffer is already the full kReliable frame; refresh
-        // its piggybacked ack in place and send a copy (the original stays
-        // armed for the next timeout).
-        patch_u64(p.wrapped, kRelAckOffset, l.rx_contig);
-        l.acked_sent = std::max(l.acked_sent, l.rx_contig);
-        outs.push_back({peer, FrameKind::kReliable, p.wrapped, p.body});
-        retransmissions_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
-        if (obs::tracing_active()) {
-          obs::Trace::instance().record(obs::EventKind::kRetransmit, self_,
-                                        peer, static_cast<uint64_t>(p.kind),
-                                        seq,
-                                        static_cast<uint64_t>(p.retries));
-          static obs::Counter& rtx =
-              obs::Metrics::instance().counter("dps.fabric.retransmits");
-          rtx.inc();
-        }
-#endif
-      }
-    }
-  }
-  for (auto& o : outs) {
-    try {
-      if (o.body != nullptr) {
-        cluster_.fabric().send_shared(self_, o.to, o.kind,
-                                      std::move(o.payload), std::move(o.body));
-      } else {
-        cluster_.fabric().send(self_, o.to, o.kind, std::move(o.payload));
-      }
-    } catch (const Error&) {
-      // transport refused: indistinguishable from a drop; retry next tick
-    }
-  }
-  return suspects;
-}
-
-void Controller::send_heartbeats(double now) {
-  (void)now;
-  struct Out {
-    NodeId to;
-    std::vector<std::byte> payload;
-  };
-  std::vector<Out> outs;
-  {
-    MutexLock lock(rel_mu_);
-    for (NodeId peer = 0; peer < cluster_.node_count(); ++peer) {
-      if (peer == self_) continue;
-      ReliableLink& l = rlink_locked(peer);
-      if (l.dead) continue;
-      Writer w;
-      w.put<uint64_t>(l.rx_contig);  // heartbeats double as ack carriers
-      l.acked_sent = std::max(l.acked_sent, l.rx_contig);
-      l.ack_pending = false;
-#ifdef DPS_TRACE
-      obs::Trace::instance().record(obs::EventKind::kHeartbeat, self_, peer, 0,
-                                    l.rx_contig, 0);
-#endif
-      outs.push_back({peer, w.take()});
-    }
-  }
-  for (auto& o : outs) {
-    try {
-      cluster_.fabric().send(self_, o.to, FrameKind::kHeartbeat,
-                             std::move(o.payload));
-    } catch (const Error&) {
-      // best effort; a missed beacon is exactly what detection measures
-    }
-  }
-}
-
-std::vector<NodeId> Controller::stale_peers(double now, double threshold) {
-  std::vector<NodeId> stale;
-  MutexLock lock(rel_mu_);
-  for (auto& [peer, lp] : rlinks_) {
-    if (lp->dead) continue;
-    if (now - lp->last_heard > threshold) stale.push_back(peer);
-  }
-  return stale;
-}
-
-void Controller::on_node_down(NodeId node) {
-  {
-    MutexLock lock(rel_mu_);
-    ReliableLink& l = rlink_locked(node);
-    l.dead = true;
-    // Stop retransmitting into the void; recycle the armed frames.
-    for (auto& [seq, p] : l.unacked) {
-      BufferPool::instance().release(std::move(p.wrapped));
-    }
-    l.unacked.clear();
-  }
-  // Unblock split/stream executions waiting for flow-control credits the
-  // dead node will never return. The raised kState unwinds the operation;
-  // the graph call itself fails with kNodeDown at the cluster level.
-  poison_flow_accounts();
-}
-
-void Controller::poison_flow_accounts() {
-  MutexLock lock(flow_mu_);
-  for (auto it = accounts_.begin(); it != accounts_.end();) {
-    bool reap = false;
-    {
-      MutexLock al(it->second->mu);
-      it->second->poison = true;
-      cluster_.domain().notify_all(it->second->wp);
-      // An already-finished account was only waiting for credits that will
-      // never arrive now — erase it here, or it leaks until the controller
-      // dies (the pre-poison-fix window leak).
-      reap = it->second->finished;
-    }
-    it = reap ? accounts_.erase(it) : std::next(it);
-  }
 }
 
 // --- Checkpointing -------------------------------------------------------------

@@ -13,10 +13,9 @@
 #pragma once
 
 #include <atomic>
-#include <deque>
 #include <map>
 #include <memory>
-#include <set>
+#include <string>
 #include <thread>
 #include <unordered_map>
 #include <vector>
@@ -58,13 +57,12 @@ class Controller {
   /// Delivers an already-routed envelope (collection/thread set).
   void send(Envelope env);
 
-  /// Fabric delivery callback (non-blocking: enqueue + notify only).
-  void on_fabric(NodeMessage&& msg);
-
-  /// Batched fabric delivery: every frame decoded from one receive chunk
-  /// arrives together, so envelopes bound for the same worker cost one
-  /// inbox append + one notify for the whole chunk, and reliable-link
-  /// seq/ack bookkeeping is applied under a single lock acquisition.
+  /// The fabric delivery handler (non-blocking: enqueue + notify only;
+  /// never throws). Every frame decoded from one receive chunk arrives
+  /// together, so envelopes bound for the same worker cost one inbox append
+  /// + one notify for the whole chunk. A frame that fails to decode is
+  /// handled like a kPeerDown report from its sender; the rest of the batch
+  /// is still delivered.
   void on_fabric_batch(std::vector<NodeMessage>&& msgs);
 
   /// Stops and joins this node's workers. Idempotent.
@@ -123,39 +121,13 @@ class Controller {
   void checkpoint_workers(Writer& w);
   void restore_worker(CollectionId collection, ThreadIndex index, Reader& r);
 
-  // --- fault tolerance (docs/FAULT_TOLERANCE.md) ----------------------------
-  /// Arms reliable delivery / heartbeat state according to the cluster's
-  /// FaultToleranceConfig. Called once by the Cluster before traffic flows.
-  void enable_fault_tolerance();
-
-  /// Retransmits overdue unacked frames and flushes delayed cumulative
-  /// acks. Returns peers whose retry budget is exhausted (suspects for the
-  /// caller — the cluster monitor — to adjudicate). Wall-clock `now` from
-  /// mono_seconds().
-  std::vector<NodeId> reliability_tick(double now);
-
-  /// Beacons every live peer; carries this link's cumulative ack.
-  void send_heartbeats(double now);
-
-  /// Peers not heard from for `threshold` seconds.
-  std::vector<NodeId> stale_peers(double now, double threshold);
-
-  /// Peer was declared dead: stop retransmitting to it, drop its pending
-  /// frames, and poison local flow accounts so no worker blocks on a
-  /// window that can never refill. Poisoned accounts are reaped even with
-  /// credits outstanding — the acks that would return them died with the
-  /// peer (the window-leak hazard; regression-tested in
+  /// Unblocks every flow waiter (node death / shutdown) and reaps the
+  /// accounts whose splits already finished. After a node death no worker
+  /// may block on a window that can never refill: poisoned accounts are
+  /// reaped even with credits outstanding — the acks that would return them
+  /// died with the peer (the window-leak hazard; regression-tested in
   /// tests/service_mesh_test.cpp).
-  void on_node_down(NodeId node);
-
-  /// Frames received more than once and dropped (tests).
-  uint64_t duplicates_suppressed() const {
-    return dup_suppressed_.load(std::memory_order_relaxed);
-  }
-  /// Frames re-sent by the retransmission timer (tests).
-  uint64_t retransmissions() const {
-    return retransmissions_.load(std::memory_order_relaxed);
-  }
+  void poison_flow_accounts();
 
   // --- multicast collectives (docs/PERFORMANCE.md) --------------------------
   /// Envelope bodies encoded for multicast on this node. The one-encode-
@@ -176,7 +148,6 @@ class Controller {
   struct Worker;
   struct StealGroup;
   struct FlowAccount;
-  struct ReliableLink;
   class ExecCtx;
   class DeliveryBatch;
 
@@ -219,73 +190,37 @@ class Controller {
   /// the ack — one input of the adaptive window controller.
   void apply_flow_release(ContextId ctx, uint32_t n,
                           uint32_t receiver_depth = 0);
-  /// Unblocks every flow waiter (node death / shutdown) and reaps the
-  /// accounts whose splits already finished.
-  void poison_flow_accounts();
   /// Returns `n` consumed-token credits to the split's flow account —
   /// locally, or as one batched kFlowAck frame (ExecCtx coalesces).
   /// `receiver_depth` reports the consumer's current inbox depth.
   void send_flow_ack(const SplitFrame& frame, uint32_t n,
                      uint32_t receiver_depth);
 
-  // Reliable delivery internals. fabric_send is the single exit point for
-  // engine frames: it either forwards to the fabric directly or wraps the
-  // frame in a sequence-numbered kReliable envelope.
+  /// The single exit point for engine frames: ships `payload` (followed
+  /// by the shared `body`, when set) through the cluster fabric.
   void fabric_send(NodeId target, FrameKind kind,
-                   std::vector<std::byte> payload);
-  /// fabric_send for prefix+shared-body frames (multicast): in reliable
-  /// mode only the small prefix is wrapped with [seq|ack|kind]; the shared
-  /// body rides every transmit — and every retransmit — untouched, so
-  /// exactly-once composes per link over the one encoded payload.
-  void fabric_send_shared(NodeId target, FrameKind kind,
-                          std::vector<std::byte> prefix, SharedPayload body);
+                   std::vector<std::byte> payload,
+                   SharedPayload body = nullptr);
   /// Ships one kMcastEnvelope frame listing `n` destinations on `node`;
   /// `body` is the collective's single encoded envelope.
   void mcast_ship(NodeId node, const McastEntry* entries, size_t n,
                   const SharedPayload& body);
+  /// Encodes `env` into one exact-size pooled buffer and ships it.
+  void send_envelope(NodeId target, FrameKind kind, const Envelope& env);
+  /// Decodes one engine frame into `batch`; raises Error on a malformed
+  /// frame.
+  void handle_frame(const NodeMessage& msg, DeliveryBatch& batch);
   /// kMcastEnvelope arrival: decode the body once and deliver every entry,
   /// the token pointer shared between the co-located receivers. An entry
   /// for another node raises Error(kProtocol).
-  void handle_mcast(NodeId from, const std::byte* data, size_t size,
-                    DeliveryBatch* batch);
-  /// Encodes `env` into one exact-size pooled buffer and ships it — in
-  /// reliable mode the kReliable header and envelope share that single
-  /// buffer (no double-wrap copy).
-  void send_envelope(NodeId target, FrameKind kind, const Envelope& env);
-  /// Assigns a sequence number into the pre-encoded [seq|ack|kind|payload]
-  /// buffer, records it for retransmission, and ships it. A non-null `body`
-  /// is a shared multicast payload appended to every (re)transmit.
-  void send_reliable_wrapped(NodeId target, FrameKind kind,
-                             std::vector<std::byte> wrapped,
-                             SharedPayload body = nullptr);
-  /// `batch == nullptr` delivers envelopes directly (single-message path);
-  /// otherwise they are collected for one grouped inbox append per worker.
-  void handle_frame(FrameKind kind, NodeId from,
-                    const std::byte* data, size_t size,
-                    DeliveryBatch* batch = nullptr);
-  void handle_reliable(NodeMessage&& msg, DeliveryBatch* batch = nullptr);
-  void handle_ack(NodeId from, uint64_t ack);
-  void handle_ack_locked(ReliableLink& l, NodeId from, uint64_t ack)
-      DPS_REQUIRES(rel_mu_);
-  /// Receive-side dup suppression / contiguity advance for one sequenced
-  /// frame. Returns true when the frame is new and must be delivered;
-  /// false for a duplicate (caller re-acks with *ack_val).
-  bool reliable_rx_locked(ReliableLink& l, uint64_t seq, uint64_t* ack_val)
-      DPS_REQUIRES(rel_mu_);
-  ReliableLink& rlink_locked(NodeId peer) DPS_REQUIRES(rel_mu_);
+  void handle_mcast(const NodeMessage& msg, DeliveryBatch& batch);
+  /// A peer's channel failed or it sent a frame that does not decode:
+  /// under fault tolerance the node is declared down, otherwise the reason
+  /// is logged as a protocol error.
+  void peer_failed(NodeId peer, const std::string& reason);
 
   Cluster& cluster_;
   NodeId self_;
-
-  bool reliable_ = false;
-  bool heartbeat_ = false;
-  // Lock discipline: rel_mu_ is never held across a fabric send, and never
-  // acquired while workers_mu_ or flow_mu_ is held.
-  Mutex rel_mu_;
-  std::map<NodeId, std::unique_ptr<ReliableLink>> rlinks_
-      DPS_GUARDED_BY(rel_mu_);
-  std::atomic<uint64_t> dup_suppressed_{0};
-  std::atomic<uint64_t> retransmissions_{0};
 
   mutable Mutex workers_mu_;
   std::map<std::pair<CollectionId, ThreadIndex>, std::unique_ptr<Worker>>

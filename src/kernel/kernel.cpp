@@ -32,8 +32,7 @@ struct ProcessFabric::Impl {
 
   TcpListener listener;
   std::thread acceptor;
-  Handler handler;
-  BatchHandler batch_handler;
+  BatchHandler handler;
 
   /// Intra-node fast path: when two kernels share a host (the common case
   /// for this SPMD runtime) and POSIX shm is usable, data frames bypass the
@@ -77,7 +76,7 @@ struct ProcessFabric::Impl {
 
   /// Frames arriving over shared memory funnel into the same handling as
   /// the TCP receive loop: kShutdown trips the serve-loop flag, everything
-  /// else goes to the (preferably batched) controller handler.
+  /// else goes to the controller's handler.
   void deliver_shm(std::vector<NodeMessage>&& batch) {
     size_t keep = 0;
     for (size_t i = 0; i < batch.size(); ++i) {
@@ -94,12 +93,7 @@ struct ProcessFabric::Impl {
       ++keep;
     }
     batch.resize(keep);
-    if (batch.empty()) return;
-    if (batch_handler) {
-      batch_handler(std::move(batch));
-      return;
-    }
-    for (NodeMessage& m : batch) handler(std::move(m));
+    if (!batch.empty()) handler(std::move(batch));
   }
 
   /// Returns the shm sender for `to`, opening it on first use, or nullptr
@@ -159,7 +153,9 @@ struct ProcessFabric::Impl {
           cv.notify_all();
           continue;
         }
-        handler(NodeMessage{peer, f.kind, std::move(f.payload)});
+        std::vector<NodeMessage> batch;
+        batch.push_back(NodeMessage{peer, f.kind, std::move(f.payload)});
+        handler(std::move(batch));
       }
     } catch (const Error& e) {
       MutexLock lock(mu);
@@ -256,14 +252,9 @@ ProcessFabric::ProcessFabric(NodeId self, size_t node_count,
 
 ProcessFabric::~ProcessFabric() { shutdown(); }
 
-void ProcessFabric::attach(NodeId self, Handler handler) {
+void ProcessFabric::attach_batch(NodeId self, BatchHandler handler) {
   if (self != impl_->self) return;  // other nodes live in other processes
   impl_->handler = std::move(handler);
-}
-
-void ProcessFabric::attach_batch(NodeId self, BatchHandler handler) {
-  if (self != impl_->self) return;
-  impl_->batch_handler = std::move(handler);
 }
 
 void ProcessFabric::announce() {

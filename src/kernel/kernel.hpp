@@ -48,7 +48,8 @@ class ProcessFabric : public Fabric {
                 std::vector<std::string> base_args);
   ~ProcessFabric() override;
 
-  void attach(NodeId self, Handler handler) override;
+  /// Frames from a peer's TCP connection arrive as batches of one; shm
+  /// frames arrive in the inbox's drain batches.
   void attach_batch(NodeId self, BatchHandler handler) override;
   void send(NodeId from, NodeId to, FrameKind kind,
             std::vector<std::byte> payload) override;

@@ -18,13 +18,7 @@ ChaosFabric::ChaosFabric(std::shared_ptr<Fabric> inner, FaultPlan plan)
 
 ChaosFabric::~ChaosFabric() { shutdown(); }
 
-void ChaosFabric::attach(NodeId self, Handler handler) {
-  inner_->attach(self, std::move(handler));
-}
-
 void ChaosFabric::attach_batch(NodeId self, BatchHandler handler) {
-  // Faults are injected on the send side; delivery passes straight through,
-  // so the inner fabric's batching reaches the controller untouched.
   inner_->attach_batch(self, std::move(handler));
 }
 

@@ -4,9 +4,10 @@
 // according to a FaultPlan: per-link frame drop, duplication, delay-based
 // reorder, link partitions, and whole-node kill. Faults are decided by a
 // per-link PRNG seeded from the plan, so a failing run reproduces from its
-// seed. The reliable-delivery layer of the Controller
-// (docs/FAULT_TOLERANCE.md) is what makes split–merge calls survive these
-// faults; ChaosFabric is the adversary the tests exercise it against.
+// seed. ReliableFabric (net/reliable_fabric.hpp, docs/FAULT_TOLERANCE.md),
+// which the cluster stacks on top of this decorator, is what makes
+// split–merge calls survive these faults; ChaosFabric is the adversary the
+// tests exercise it against.
 //
 // Wall-clock only: delayed frames are re-sent by a timer thread, which
 // would freeze a SimDomain's virtual clock.
@@ -55,7 +56,8 @@ class ChaosFabric : public Fabric {
   ChaosFabric(std::shared_ptr<Fabric> inner, FaultPlan plan);
   ~ChaosFabric() override;
 
-  void attach(NodeId self, Handler handler) override;
+  /// Faults are injected on the send side; delivery passes straight
+  /// through to the inner fabric.
   void attach_batch(NodeId self, BatchHandler handler) override;
   void send(NodeId from, NodeId to, FrameKind kind,
             std::vector<std::byte> payload) override;

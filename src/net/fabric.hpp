@@ -1,8 +1,8 @@
 // Fabric: the node-to-node message transport of a cluster run.
 //
 // A cluster's nodes exchange framed messages (token envelopes, flow-control
-// acks) through a Fabric. Three implementations exist, all carrying the
-// same frames so they are interchangeable under the engine:
+// acks) through a Fabric. Every transport carries the same frames, so they
+// are interchangeable under the engine:
 //
 //  * InprocFabric — nodes are thread groups of one process; frames are
 //    handed over in memory but only *after* full serialization, exactly
@@ -11,8 +11,15 @@
 //    is running within a single computer".
 //  * TcpFabric (net/tcp_transport.hpp) — real TCP sockets on localhost,
 //    with lazy connection establishment as in the paper's runtime.
+//  * ShmFabric (net/shm_fabric.hpp) — POSIX shared-memory rings between
+//    kernels on one host.
 //  * SimFabric (sim/link.hpp) — deliveries modeled on a virtual clock with
 //    per-NIC bandwidth/latency, reproducing the paper's Gigabit Ethernet.
+//  * ProcessFabric (kernel/kernel.hpp) — one node per OS process, for the
+//    multi-process SPMD runtime.
+//
+// Decorators stack on any of them: ChaosFabric injects faults, and
+// ReliableFabric (net/reliable_fabric.hpp) restores exactly-once delivery.
 #pragma once
 
 #include <cstdint>
@@ -32,29 +39,32 @@ struct NodeMessage {
 
 class Fabric {
  public:
-  /// Delivery callback. Handlers MUST be non-blocking (enqueue + notify
-  /// only): under SimFabric they run on the scheduler thread, and a
-  /// blocking handler would freeze the virtual clock.
-  using Handler = std::function<void(NodeMessage&&)>;
-
-  /// Grouped delivery callback: every message decoded from one receive
-  /// chunk, in arrival order. Same non-blocking contract as Handler.
+  /// Delivery callback: every message decoded from one receive chunk, in
+  /// arrival order (a lone frame is a batch of one). Handlers MUST be
+  /// non-blocking (enqueue + notify only): under SimFabric they run on the
+  /// scheduler thread, and a blocking handler would freeze the virtual
+  /// clock. Handlers MUST NOT throw: they run on transport threads (TCP
+  /// receivers, the shm rx thread) that have nobody to report to, or inside
+  /// the sender's own send() (InprocFabric).
   using BatchHandler = std::function<void(std::vector<NodeMessage>&&)>;
+
+  /// Per-message callback accepted by the attach() convenience adapter.
+  using Handler = std::function<void(NodeMessage&&)>;
 
   virtual ~Fabric() = default;
 
   /// Registers node `self`'s delivery handler. Must complete for every
-  /// node before any traffic flows to it.
-  virtual void attach(NodeId self, Handler handler) = 0;
+  /// node before any traffic flows to it; a later call replaces it.
+  virtual void attach_batch(NodeId self, BatchHandler handler) = 0;
 
-  /// Optionally registers a grouped delivery handler. Fabrics that batch on
-  /// the receive side (TcpFabric) prefer it over the per-message handler
-  /// when both are attached; the default implementation ignores it, so
-  /// per-message fabrics (inproc, sim) are unaffected. Must complete before
-  /// traffic flows, like attach().
-  virtual void attach_batch(NodeId self, BatchHandler handler) {
-    (void)self;
-    (void)handler;
+  /// attach_batch for callers that want one callback per message: the
+  /// batch is unrolled in order. Same contract as attach_batch, which also
+  /// replaces a handler registered here.
+  void attach(NodeId self, Handler handler) {
+    attach_batch(self,
+                 [h = std::move(handler)](std::vector<NodeMessage>&& msgs) {
+                   for (NodeMessage& m : msgs) h(std::move(m));
+                 });
   }
 
   /// Sends one message; thread safe; may block (TCP backpressure).

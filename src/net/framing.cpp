@@ -34,6 +34,14 @@ WireHeader make_header(const Frame& frame) {
 }
 }  // namespace
 
+SharedPayload share_pooled(std::vector<std::byte> bytes) {
+  using Bytes = std::vector<std::byte>;
+  return SharedPayload(new Bytes(std::move(bytes)), [](const Bytes* p) {
+    BufferPool::instance().release(std::move(*const_cast<Bytes*>(p)));
+    delete p;
+  });
+}
+
 size_t frame_wire_size(const Frame& frame) {
   return sizeof(WireHeader) + frame.payload.size() + shared_size(frame);
 }

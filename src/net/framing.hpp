@@ -22,6 +22,10 @@ using NodeId = uint32_t;
 /// as one contiguous payload; sharing is a sender-side optimization.
 using SharedPayload = std::shared_ptr<const std::vector<std::byte>>;
 
+/// Wraps `bytes` as a SharedPayload whose last owner hands the buffer back
+/// to the BufferPool.
+SharedPayload share_pooled(std::vector<std::byte> bytes);
+
 /// Frame kinds understood by the controller.
 enum class FrameKind : uint16_t {
   kEnvelope = 1,   ///< a routed token envelope

@@ -4,48 +4,33 @@
 
 namespace dps {
 
-InprocFabric::InprocFabric(size_t node_count)
-    : handlers_(node_count), batch_handlers_(node_count) {}
-
-void InprocFabric::attach(NodeId self, Handler handler) {
-  MutexLock lock(mu_);
-  DPS_CHECK(self < handlers_.size(), "attach: node id out of range");
-  handlers_[self] = std::move(handler);
-}
+InprocFabric::InprocFabric(size_t node_count) : handlers_(node_count) {}
 
 void InprocFabric::attach_batch(NodeId self, BatchHandler handler) {
   MutexLock lock(mu_);
-  DPS_CHECK(self < batch_handlers_.size(), "attach_batch: node out of range");
-  batch_handlers_[self] = std::move(handler);
+  DPS_CHECK(self < handlers_.size(), "attach_batch: node out of range");
+  handlers_[self] = std::move(handler);
 }
 
 void InprocFabric::send(NodeId from, NodeId to, FrameKind kind,
                         std::vector<std::byte> payload) {
-  Handler handler;
-  BatchHandler batch_handler;
+  BatchHandler handler;
   {
     MutexLock lock(mu_);
     if (down_) return;
-    if (to >= handlers_.size() || (!handlers_[to] && !batch_handlers_[to])) {
+    if (to >= handlers_.size() || !handlers_[to]) {
       raise(Errc::kNotFound,
             "no node " + std::to_string(to) + " attached to fabric");
     }
-    // Copies so delivery runs outside mu_. Batched delivery wins when both
-    // are attached, mirroring the TCP receive path.
-    batch_handler = batch_handlers_[to];
-    if (!batch_handler) handler = handlers_[to];
+    handler = handlers_[to];  // copy so delivery runs outside mu_
   }
   messages_.fetch_add(1, std::memory_order_relaxed);
   Frame f;  // accounted like a wire frame for fair benchmark comparisons
   f.payload = std::move(payload);
   bytes_.fetch_add(frame_wire_size(f), std::memory_order_relaxed);
-  if (batch_handler) {
-    std::vector<NodeMessage> batch;
-    batch.push_back(NodeMessage{from, kind, std::move(f.payload)});
-    batch_handler(std::move(batch));
-    return;
-  }
-  handler(NodeMessage{from, kind, std::move(f.payload)});
+  std::vector<NodeMessage> batch;
+  batch.push_back(NodeMessage{from, kind, std::move(f.payload)});
+  handler(std::move(batch));
 }
 
 void InprocFabric::shutdown() {

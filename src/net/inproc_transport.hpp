@@ -19,10 +19,8 @@ class InprocFabric : public Fabric {
  public:
   explicit InprocFabric(size_t node_count);
 
-  void attach(NodeId self, Handler handler) override;
-  /// Grouped delivery: when a batch handler is attached, send() delivers
-  /// through it as a batch of one, so in-process runs exercise the same
-  /// Controller::on_fabric_batch path as the batching fabrics (TCP, shm).
+  /// send() delivers synchronously, on the sender's thread, as a batch of
+  /// one.
   void attach_batch(NodeId self, BatchHandler handler) override;
   void send(NodeId from, NodeId to, FrameKind kind,
             std::vector<std::byte> payload) override;
@@ -32,8 +30,7 @@ class InprocFabric : public Fabric {
 
  private:
   mutable Mutex mu_;
-  std::vector<Handler> handlers_ DPS_GUARDED_BY(mu_);
-  std::vector<BatchHandler> batch_handlers_ DPS_GUARDED_BY(mu_);
+  std::vector<BatchHandler> handlers_ DPS_GUARDED_BY(mu_);
   bool down_ DPS_GUARDED_BY(mu_) = false;
   std::atomic<uint64_t> bytes_{0};
   std::atomic<uint64_t> messages_{0};

@@ -552,9 +552,7 @@ ShmTxStats ShmPeerTx::stats() const {
 // ShmFabric (standalone, all nodes in this process)
 
 ShmFabric::ShmFabric(size_t node_count, size_t ring_bytes)
-    : nodes_(node_count),
-      handlers_(node_count),
-      batch_handlers_(node_count) {
+    : nodes_(node_count), handlers_(node_count) {
   // Segment names are unique per process and per fabric instance so
   // overlapping runs (parallel ctest) never collide.
   static std::atomic<uint64_t> instances{0};
@@ -585,33 +583,21 @@ ShmFabric::ShmFabric(size_t node_count, size_t ring_bytes)
 
 ShmFabric::~ShmFabric() { ShmFabric::shutdown(); }
 
-void ShmFabric::attach(NodeId self, Handler handler) {
+void ShmFabric::attach_batch(NodeId self, BatchHandler handler) {
   MutexLock lock(mu_);
-  DPS_CHECK(self < handlers_.size(), "attach: node id out of range");
+  DPS_CHECK(self < handlers_.size(), "attach_batch: node out of range");
   handlers_[self] = std::move(handler);
 }
 
-void ShmFabric::attach_batch(NodeId self, BatchHandler handler) {
-  MutexLock lock(mu_);
-  DPS_CHECK(self < batch_handlers_.size(), "attach_batch: node out of range");
-  batch_handlers_[self] = std::move(handler);
-}
-
 void ShmFabric::deliver(NodeId to, std::vector<NodeMessage>&& batch) {
-  BatchHandler bh;
-  Handler h;
+  BatchHandler handler;
   {
     MutexLock lock(mu_);
     if (down_) return;
-    bh = batch_handlers_[to];  // copy so delivery runs outside mu_
-    if (!bh) h = handlers_[to];
+    handler = handlers_[to];  // copy so delivery runs outside mu_
   }
-  if (bh) {
-    bh(std::move(batch));
-    return;
-  }
-  if (!h) return;  // attach() not done yet: attach-before-traffic contract
-  for (NodeMessage& m : batch) h(std::move(m));
+  if (!handler) return;  // not attached yet: attach-before-traffic contract
+  handler(std::move(batch));
 }
 
 void ShmFabric::send(NodeId from, NodeId to, FrameKind kind,

@@ -6,9 +6,8 @@
 // (its "inbox") holding a strictly single-producer/single-consumer byte
 // ring per sending peer plus one futex doorbell word. Producers memcpy
 // framed messages straight into their ring and advance a release-ordered
-// head; the inbox's RX thread drains all rings into grouped deliveries
-// mirroring FrameReader's 64 KB chunk batches, so the engine's
-// Controller::on_fabric_batch path is exercised exactly like on TCP.
+// head; the inbox's RX thread drains all rings into grouped deliveries of
+// up to 64 KB, the same batches FrameReader hands up on TCP.
 //
 // Blocking is futex-parked on both sides (no spinning): the consumer parks
 // on the doorbell when every ring is empty, a producer parks on its ring's
@@ -140,7 +139,6 @@ class ShmFabric : public Fabric {
   explicit ShmFabric(size_t node_count, size_t ring_bytes = 1 << 20);
   ~ShmFabric() override;
 
-  void attach(NodeId self, Handler handler) override;
   void attach_batch(NodeId self, BatchHandler handler) override;
   void send(NodeId from, NodeId to, FrameKind kind,
             std::vector<std::byte> payload) override;
@@ -160,8 +158,7 @@ class ShmFabric : public Fabric {
   std::vector<std::unique_ptr<ShmInbox>> inboxes_;       // one per receiver
   std::vector<std::unique_ptr<ShmPeerTx>> tx_;           // from * nodes + to
   mutable Mutex mu_;
-  std::vector<Handler> handlers_ DPS_GUARDED_BY(mu_);
-  std::vector<BatchHandler> batch_handlers_ DPS_GUARDED_BY(mu_);
+  std::vector<BatchHandler> handlers_ DPS_GUARDED_BY(mu_);
   bool down_ DPS_GUARDED_BY(mu_) = false;
   std::atomic<uint64_t> messages_{0};
 };

@@ -1,5 +1,7 @@
 #include "net/tcp_transport.hpp"
 
+#include <utility>
+
 #include "serial/buffer_pool.hpp"
 #include "serial/wire.hpp"
 #include "util/error.hpp"
@@ -29,16 +31,10 @@ TcpFabric::TcpFabric(size_t node_count) {
 
 TcpFabric::~TcpFabric() { shutdown(); }
 
-void TcpFabric::attach(NodeId self, Handler handler) {
-  MutexLock lock(mu_);
-  DPS_CHECK(self < nodes_.size(), "attach: node id out of range");
-  nodes_[self]->handler = std::move(handler);
-}
-
 void TcpFabric::attach_batch(NodeId self, BatchHandler handler) {
   MutexLock lock(mu_);
   DPS_CHECK(self < nodes_.size(), "attach_batch: node id out of range");
-  nodes_[self]->batch_handler = std::move(handler);
+  nodes_[self]->handler = std::move(handler);
 }
 
 void TcpFabric::set_node_names(std::vector<std::string> names) {
@@ -89,12 +85,10 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
     return;
   }
   const NodeId peer = hello.from;
-  Handler handler;
-  BatchHandler batch_handler;
+  BatchHandler handler;
   {
     MutexLock lock(mu_);
     handler = nodes_[self]->handler;
-    batch_handler = nodes_[self]->batch_handler;
   }
   DPS_CHECK(static_cast<bool>(handler), "receiver started before attach");
 
@@ -119,7 +113,10 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
   size_t batch_bytes = 0;
   auto flush = [&] {
     if (batch.empty()) return;
-    const size_t count = batch.size();
+    // Handed off before the handler runs, so no path can deliver the same
+    // frames twice.
+    std::vector<NodeMessage> out = std::exchange(batch, {});
+    const size_t count = out.size();
 #ifdef DPS_TRACE
     const bool t_on = obs::tracing_active();
     if (t_on) {
@@ -127,18 +124,11 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
                                     count, batch_bytes, 0);
     }
 #endif
-    if (batch_handler) {
-      batch_handler(std::move(batch));
-      batch.clear();  // moved-from: back to a known-empty state
-    } else {
-      for (NodeMessage& m : batch) handler(std::move(m));
-      batch.clear();
-    }
+    handler(std::move(out));
 #ifdef DPS_TRACE
     if (t_on) {
       obs::Trace::instance().record(obs::EventKind::kRxBatchEnd, peer, self,
-                                    count, batch_bytes,
-                                    batch_handler ? 1 : 0);
+                                    count, batch_bytes, 0);
       static obs::Counter& batches =
           obs::Metrics::instance().counter("dps.rx.batches");
       batches.inc();
@@ -196,7 +186,9 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
   // engine can fail calls / trigger recovery rather than hang.
   Writer w;
   w.put_string(reason);
-  handler(NodeMessage{peer, FrameKind::kPeerDown, w.take()});
+  std::vector<NodeMessage> report;
+  report.push_back(NodeMessage{peer, FrameKind::kPeerDown, w.take()});
+  handler(std::move(report));
 }
 
 void TcpFabric::sender_loop(OutConn& oc) {

@@ -36,7 +36,8 @@ class TcpFabric : public Fabric {
   explicit TcpFabric(size_t node_count);
   ~TcpFabric() override;
 
-  void attach(NodeId self, Handler handler) override;
+  /// Each receiver thread hands its node the frames decoded from one
+  /// chunk as one batch.
   void attach_batch(NodeId self, BatchHandler handler) override;
   void send(NodeId from, NodeId to, FrameKind kind,
             std::vector<std::byte> payload) override;
@@ -63,8 +64,7 @@ class TcpFabric : public Fabric {
  private:
   struct NodeEnd {
     TcpListener listener;
-    Handler handler;
-    BatchHandler batch_handler;  ///< preferred when set (grouped delivery)
+    BatchHandler handler;
     std::thread acceptor;
   };
   struct OutConn {

@@ -61,24 +61,6 @@ bool TraceQuery::all_ordered(EventKind k1, const Pred& p1, EventKind k2,
   return x && y && happens_before(*x, *y);
 }
 
-std::vector<uint64_t> TraceQuery::link_delivery_order(uint32_t from,
-                                                      uint32_t to) const {
-  std::vector<uint64_t> out;
-  for (const TaggedEvent& ev : events_) {
-    if (ev.e.kind != static_cast<uint16_t>(EventKind::kFabricRecv)) continue;
-    if (ev.e.node != to || ev.e.a != from) continue;
-    out.push_back(ev.e.c);
-  }
-  return out;
-}
-
-bool TraceQuery::is_fifo(const std::vector<uint64_t>& seqs) {
-  for (size_t i = 1; i < seqs.size(); ++i) {
-    if (seqs[i] <= seqs[i - 1]) return false;
-  }
-  return true;
-}
-
 std::vector<TraceQuery::Interval> TraceQuery::intervals(
     uint64_t vertex) const {
   // Executions nest on one thread (re-entrant dispatch while a merge

@@ -76,14 +76,6 @@ class TraceQuery {
   bool all_ordered(EventKind k1, const Pred& p1, EventKind k2,
                    const Pred& p2) const;
 
-  /// Sequence numbers (field c) of kFabricRecv events delivered from node
-  /// `from` on node `to`, in delivery order — the per-link order a
-  /// transport actually achieved.
-  std::vector<uint64_t> link_delivery_order(uint32_t from, uint32_t to) const;
-
-  /// True when `seqs` is strictly increasing (FIFO link, no duplicates).
-  static bool is_fifo(const std::vector<uint64_t>& seqs);
-
   /// Operation executions of `vertex` (kOpStart paired with the matching
   /// kOpEnd on the same thread / vertex / context / seq), time order.
   /// vertex == UINT64_MAX returns every execution.

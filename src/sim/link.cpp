@@ -12,7 +12,7 @@ struct SimFabric::Impl {
   ExecDomain& domain;
   LinkModel link;
   Mutex mu;
-  std::vector<Handler> handlers DPS_GUARDED_BY(mu);
+  std::vector<BatchHandler> handlers DPS_GUARDED_BY(mu);
   // next instant a node's TX/RX NIC is idle
   std::vector<double> tx_free DPS_GUARDED_BY(mu);
   std::vector<double> rx_free DPS_GUARDED_BY(mu);
@@ -29,9 +29,9 @@ SimFabric::SimFabric(size_t node_count, ExecDomain& domain, LinkModel link)
 
 SimFabric::~SimFabric() = default;
 
-void SimFabric::attach(NodeId self, Handler handler) {
+void SimFabric::attach_batch(NodeId self, BatchHandler handler) {
   MutexLock lock(impl_->mu);
-  DPS_CHECK(self < impl_->handlers.size(), "attach: node id out of range");
+  DPS_CHECK(self < impl_->handlers.size(), "attach_batch: node out of range");
   impl_->handlers[self] = std::move(handler);
 }
 
@@ -42,7 +42,7 @@ void SimFabric::send(NodeId from, NodeId to, FrameKind kind,
   const size_t wire = frame_wire_size(f);
   const double now = impl_->domain.now();
 
-  Handler handler;
+  BatchHandler handler;
   double arrival = 0;
   {
     MutexLock lock(impl_->mu);
@@ -73,10 +73,10 @@ void SimFabric::send(NodeId from, NodeId to, FrameKind kind,
   impl_->messages.fetch_add(1, std::memory_order_relaxed);
   impl_->bytes.fetch_add(wire, std::memory_order_relaxed);
 
-  auto msg = std::make_shared<NodeMessage>(
-      NodeMessage{from, kind, std::move(f.payload)});
-  impl_->domain.post_event(arrival - now, [handler, msg] {
-    handler(std::move(*msg));
+  auto batch = std::make_shared<std::vector<NodeMessage>>();
+  batch->push_back(NodeMessage{from, kind, std::move(f.payload)});
+  impl_->domain.post_event(arrival - now, [handler, batch] {
+    handler(std::move(*batch));
   });
 }
 

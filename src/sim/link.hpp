@@ -77,7 +77,9 @@ class SimFabric : public Fabric {
   SimFabric(size_t node_count, ExecDomain& domain, LinkModel link);
   ~SimFabric() override;
 
-  void attach(NodeId self, Handler handler) override;
+  /// Each frame arrives as a batch of one, on the scheduler thread at its
+  /// modeled arrival time.
+  void attach_batch(NodeId self, BatchHandler handler) override;
   void send(NodeId from, NodeId to, FrameKind kind,
             std::vector<std::byte> payload) override;
   void shutdown() override;

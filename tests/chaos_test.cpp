@@ -107,10 +107,7 @@ TEST(Chaos, RetransmitsAccountForInjectedDrops) {
   uint64_t drops = 0, retrans = 0;
   for (;;) {
     drops = chaos->frames_dropped(FrameKind::kReliable);
-    retrans = 0;
-    for (NodeId n = 0; n < cluster.node_count(); ++n) {
-      retrans += cluster.controller(n).retransmissions();
-    }
+    retrans = cluster.reliable_fabric()->retransmissions();
     if (drops > 0 && retrans >= drops) break;
     if (std::chrono::steady_clock::now() > deadline) break;
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
@@ -152,10 +149,8 @@ TEST(Chaos, ExactlyOnceUnderDuplication) {
         token_cast<StringToken>(graph->call(new StringToken(kPhrase)));
     EXPECT_EQ(std::string(result->str, static_cast<size_t>(result->len)),
               kPhraseUpper);
-    uint64_t suppressed = 0;
-    for (NodeId n = 0; n < cluster.node_count(); ++n) {
-      suppressed += cluster.controller(n).duplicates_suppressed();
-    }
+    const uint64_t suppressed =
+        cluster.reliable_fabric()->duplicates_suppressed();
     EXPECT_GT(chaos->frames_duplicated(), 0u);
     EXPECT_GT(suppressed, 0u)
         << "injected duplicates must be caught by the receive filter";
@@ -225,9 +220,7 @@ TEST(Chaos, BatchedRxSurvivesSeededFaultSweepOverTcp) {
     EXPECT_EQ(std::string(result->str, static_cast<size_t>(result->len)),
               kPhraseUpper)
         << "seed " << seed;
-    for (NodeId n = 0; n < cluster.node_count(); ++n) {
-      dups_seen += cluster.controller(n).duplicates_suppressed();
-    }
+    dups_seen += cluster.reliable_fabric()->duplicates_suppressed();
   }
   EXPECT_GT(dups_seen, 0u)
       << "the sweep must exercise the receive-side duplicate filter";
@@ -238,7 +231,7 @@ TEST(Chaos, BatchedRxSurvivesSeededFaultSweepOverTcp) {
 TEST(Chaos, FaultDecisionsAreSeedPinned) {
   class RecordingFabric : public Fabric {
    public:
-    void attach(NodeId, Handler) override {}
+    void attach_batch(NodeId, BatchHandler) override {}
     void send(NodeId, NodeId, FrameKind, std::vector<std::byte>) override {
       ++delivered;
     }
@@ -406,9 +399,7 @@ TEST(Chaos, TcpBatchedSendsDeliverExactlyOnceUnderSeededSweep) {
         << "round " << round;
     dropped += chaos->frames_dropped();
     duplicated += chaos->frames_duplicated();
-    for (NodeId n = 0; n < cluster.node_count(); ++n) {
-      suppressed += cluster.controller(n).duplicates_suppressed();
-    }
+    suppressed += cluster.reliable_fabric()->duplicates_suppressed();
   }
   EXPECT_GT(dropped, 0u) << "the sweep must actually have exercised loss";
   EXPECT_GT(duplicated, 0u) << "the sweep must have injected duplicates";
@@ -449,9 +440,7 @@ TEST(Chaos, ShmBatchedSendsDeliverExactlyOnceUnderSeededSweep) {
         << "round " << round;
     dropped += chaos->frames_dropped();
     duplicated += chaos->frames_duplicated();
-    for (NodeId n = 0; n < cluster.node_count(); ++n) {
-      suppressed += cluster.controller(n).duplicates_suppressed();
-    }
+    suppressed += cluster.reliable_fabric()->duplicates_suppressed();
   }
   EXPECT_GT(dropped, 0u) << "the sweep must actually have exercised loss";
   EXPECT_GT(duplicated, 0u) << "the sweep must have injected duplicates";
@@ -631,6 +620,33 @@ TEST(Chaos, McastPartitionHealDeliversExactlyOnce) {
   EXPECT_EQ(res->uniform, 1);
   EXPECT_GT(chaos->frames_dropped(), 0u)
       << "the partition must actually have severed frames";
+}
+
+// A frame that does not decode must not take the receiving process down:
+// the controller reports its sender like a torn stream (logged, since fault
+// tolerance is off) and keeps delivering. Over TCP and shm the bytes cross a
+// transport thread that has nobody to rethrow to; over inproc they would
+// otherwise surface inside the sender's own send().
+TEST(Chaos, MalformedFrameIsReportedAndTheNodeKeepsServing) {
+  std::vector<std::pair<const char*, ClusterConfig>> configs = {
+      {"inproc", ClusterConfig::inproc(2)}, {"tcp", ClusterConfig::tcp(2)}};
+  if (shm_available()) configs.emplace_back("shm", ClusterConfig::shm(2));
+  for (const auto& [name, cfg] : configs) {
+    SCOPED_TRACE(name);
+    Cluster cluster(cfg);
+    Application app(cluster, "toupper");
+    auto graph = build_toupper_graph(app, 4);
+    ActorScope scope(cluster.domain(), "main");
+    std::vector<std::byte> junk(5, std::byte{0x7f});
+    EXPECT_NO_THROW(
+        cluster.fabric().send(0, 1, FrameKind::kEnvelope, std::move(junk)));
+    // The call's envelopes follow the junk frame down the same 0 -> 1 link.
+    auto result =
+        token_cast<StringToken>(graph->call(new StringToken(kPhrase)));
+    ASSERT_TRUE(result);
+    EXPECT_EQ(std::string(result->str, static_cast<size_t>(result->len)),
+              kPhraseUpper);
+  }
 }
 
 // Reliable delivery and heartbeats are wall-clock mechanisms; under virtual

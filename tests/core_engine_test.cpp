@@ -255,9 +255,6 @@ class SharedBodyRecorder : public Fabric {
   explicit SharedBodyRecorder(std::shared_ptr<Fabric> inner)
       : inner_(std::move(inner)) {}
 
-  void attach(NodeId self, Handler handler) override {
-    inner_->attach(self, std::move(handler));
-  }
   void attach_batch(NodeId self, BatchHandler handler) override {
     inner_->attach_batch(self, std::move(handler));
   }

@@ -3,11 +3,15 @@
 // crashes, hangs, or silent misreads. Seed-parameterized gtest.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
 #include <random>
 
 #include "core/envelope.hpp"
+#include "net/reliable_fabric.hpp"
 #include "obs/trace_format.hpp"
 #include "serial/registry.hpp"
+#include "test_seed.hpp"
 
 namespace dps {
 namespace {
@@ -258,6 +262,148 @@ TEST(FuzzDecode, TraceHugeEventCountRejected) {
   w.put<uint64_t>(0x7fffffffffffull);  // event count: absurd
   Reader r(w.bytes());
   EXPECT_THROW((void)obs::decode_trace(r), Error);
+}
+
+// --- ReliableFabric receive side ---------------------------------------------
+//
+// Whatever a peer sends as kReliable / kAck / kHeartbeat reaches the
+// decorator's receive handler, which runs on a transport thread: it must
+// never throw. A frame that does not decode goes up as a kPeerDown report.
+
+/// Inner fabric that exposes the decorator's receive handler to the test
+/// and swallows everything sent through it (acks, re-acks).
+class CaptureFabric : public Fabric {
+ public:
+  void attach_batch(NodeId self, BatchHandler handler) override {
+    handlers[self] = std::move(handler);
+  }
+  void send(NodeId, NodeId, FrameKind, std::vector<std::byte>) override {
+    ++sent;
+  }
+  void shutdown() override {}
+  uint64_t bytes_sent() const override { return 0; }
+  uint64_t messages_sent() const override { return sent; }
+
+  std::map<NodeId, BatchHandler> handlers;
+  uint64_t sent = 0;
+};
+
+/// Node 1 of a three-node decorator over a CaptureFabric; `up` collects
+/// what reaches the layer above.
+struct ReliableRx {
+  std::shared_ptr<CaptureFabric> capture = std::make_shared<CaptureFabric>();
+  std::unique_ptr<ReliableFabric> rf;
+  std::vector<NodeMessage> up;
+
+  ReliableRx() {
+    FaultToleranceConfig ft;
+    ft.reliable = true;
+    rf = std::make_unique<ReliableFabric>(capture, 3, ft);
+    rf->attach_batch(1, [this](std::vector<NodeMessage>&& msgs) {
+      for (NodeMessage& m : msgs) up.push_back(std::move(m));
+    });
+  }
+  ReliableRx(const ReliableRx&) = delete;  // the handler captures `this`
+  ReliableRx& operator=(const ReliableRx&) = delete;
+
+  void deliver(NodeId from, FrameKind kind, std::vector<std::byte> payload) {
+    std::vector<NodeMessage> batch;
+    batch.push_back(NodeMessage{from, kind, std::move(payload)});
+    capture->handlers.at(1)(std::move(batch));
+  }
+};
+
+std::vector<std::byte> reliable_bytes(uint64_t seq, uint64_t ack,
+                                      size_t body) {
+  Writer w;
+  w.put<uint64_t>(seq);
+  w.put<uint64_t>(ack);
+  w.put<uint16_t>(static_cast<uint16_t>(FrameKind::kEnvelope));
+  for (size_t i = 0; i < body; ++i) w.put<uint8_t>(static_cast<uint8_t>(i));
+  return w.take();
+}
+
+constexpr size_t kReliableHeader = 18;
+
+TEST(FuzzDecode, ReliableReceiveSurvivesRandomFrames) {
+  const uint32_t seed = dps_testing::effective_seed(0x3e11ab1e);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  ReliableRx rx;
+  const FrameKind kinds[] = {FrameKind::kReliable, FrameKind::kAck,
+                             FrameKind::kHeartbeat};
+  for (int round = 0; round < 300; ++round) {
+    std::vector<NodeMessage> batch(1 + rng() % 4);
+    for (NodeMessage& m : batch) {
+      m.from = static_cast<NodeId>(rng() % 4);  // node 3 does not exist
+      m.kind = kinds[rng() % 3];
+      m.payload.resize(rng() % 48);
+      for (auto& b : m.payload) b = static_cast<std::byte>(rng() & 0xff);
+    }
+    EXPECT_NO_THROW(rx.capture->handlers.at(1)(std::move(batch)))
+        << "round " << round;
+  }
+}
+
+TEST(FuzzDecode, ReliableReceiveReportsTruncatedFrames) {
+  ReliableRx rx;
+  const std::vector<std::byte> full = reliable_bytes(1, 0, 6);
+  for (size_t len = 0; len < kReliableHeader; ++len) {
+    rx.up.clear();
+    ASSERT_NO_THROW(rx.deliver(
+        0, FrameKind::kReliable,
+        std::vector<std::byte>(full.begin(),
+                               full.begin() + static_cast<ptrdiff_t>(len))));
+    ASSERT_EQ(rx.up.size(), 1u) << "len=" << len;
+    EXPECT_EQ(rx.up[0].kind, FrameKind::kPeerDown) << "len=" << len;
+    EXPECT_EQ(rx.up[0].from, 0u);
+  }
+  for (FrameKind kind : {FrameKind::kAck, FrameKind::kHeartbeat}) {
+    for (size_t len = 0; len < sizeof(uint64_t); ++len) {
+      rx.up.clear();
+      ASSERT_NO_THROW(rx.deliver(2, kind, std::vector<std::byte>(len)));
+      ASSERT_EQ(rx.up.size(), 1u) << "len=" << len;
+      EXPECT_EQ(rx.up[0].kind, FrameKind::kPeerDown) << "len=" << len;
+    }
+    rx.up.clear();
+    rx.deliver(2, kind, std::vector<std::byte>(sizeof(uint64_t)));
+    EXPECT_TRUE(rx.up.empty()) << "a well-formed ack carrier is consumed";
+  }
+  // A whole header with a short body is a frame like any other.
+  for (size_t body = 0; body < 6; ++body) {
+    rx.up.clear();
+    rx.deliver(0, FrameKind::kReliable, reliable_bytes(body + 1, 0, body));
+    ASSERT_EQ(rx.up.size(), 1u);
+    EXPECT_EQ(rx.up[0].kind, FrameKind::kEnvelope);
+    EXPECT_EQ(rx.up[0].payload.size(), body);
+  }
+  rx.up.clear();
+  rx.deliver(0, FrameKind::kReliable, reliable_bytes(3, 0, 4));
+  EXPECT_TRUE(rx.up.empty()) << "a repeated sequence number is suppressed";
+  EXPECT_EQ(rx.rf->duplicates_suppressed(), 1u);
+}
+
+TEST(FuzzDecode, ReliableReceiveSurvivesMutatedFrames) {
+  const uint32_t seed = dps_testing::effective_seed(0x3e11f11b);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  ReliableRx rx;
+  for (int round = 0; round < 300; ++round) {
+    std::vector<std::byte> bytes =
+        reliable_bytes(1 + rng() % 64, rng() % 64, rng() % 16);
+    const int flips = 1 + static_cast<int>(rng() % 4);
+    for (int f = 0; f < flips; ++f) {
+      const size_t pos = rng() % bytes.size();
+      bytes[pos] ^= static_cast<std::byte>(1u << (rng() % 8));
+    }
+    if (rng() % 4 == 0) bytes.resize(rng() % bytes.size());
+    const NodeId from = static_cast<NodeId>(rng() % 3);
+    ASSERT_NO_THROW(rx.deliver(from, FrameKind::kReliable, std::move(bytes)))
+        << "round " << round;
+  }
+  for (const NodeMessage& m : rx.up) {
+    EXPECT_NE(m.kind, FrameKind::kReliable) << "frames go up unwrapped";
+  }
 }
 
 }  // namespace

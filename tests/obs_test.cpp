@@ -378,22 +378,6 @@ TEST(TraceQuery, ExistsOrderedAndAllOrdered) {
       q.all_ordered(EventKind::kRetransmit, any, EventKind::kFabricRecv, any));
 }
 
-TEST(TraceQuery, LinkDeliveryOrderAndFifo) {
-  TraceQuery q({
-      tagged(10, EventKind::kFabricRecv, 0, /*node=*/2, /*a=from*/1, 0, 1),
-      tagged(20, EventKind::kFabricRecv, 0, 2, 1, 0, 2),
-      tagged(30, EventKind::kFabricRecv, 0, 2, 1, 0, 4),
-      tagged(40, EventKind::kFabricRecv, 0, 2, 3, 0, 3),  // other link
-      tagged(50, EventKind::kFabricRecv, 0, 9, 1, 0, 9),  // other node
-  });
-  const auto seqs = q.link_delivery_order(/*from=*/1, /*to=*/2);
-  EXPECT_EQ(seqs, (std::vector<uint64_t>{1, 2, 4}));
-  EXPECT_TRUE(TraceQuery::is_fifo(seqs));
-  EXPECT_FALSE(TraceQuery::is_fifo({1, 3, 2}));
-  EXPECT_FALSE(TraceQuery::is_fifo({1, 1, 2}));
-  EXPECT_TRUE(TraceQuery::is_fifo({}));
-}
-
 TEST(TraceQuery, IntervalsPairStartsWithEnds) {
   const uint64_t kLeaf = static_cast<uint64_t>(1);
   TraceQuery q({

@@ -3,12 +3,12 @@
 // TcpFabric::shutdown() walks every per-peer sender queue under mu_, closes
 // the queues under each OutConn::mu, and joins senders that are still
 // draining — while producers race it with sends (blocking on OutConn::space
-// backpressure) and, in reliable mode, the controller's ack retirement
-// recycles encode buffers through the process-wide BufferPool. These tests
+// backpressure) and, in reliable mode, ReliableFabric's ack retirement
+// recycles frame buffers through the process-wide BufferPool. These tests
 // drive all three at once from many threads so the tsan and asan-ubsan
 // stages exercise the exact lock orders the thread-safety annotations
-// describe: mu_ -> OutConn::mu, never the reverse, and rel_mu_ never held
-// across a fabric send.
+// describe: mu_ -> OutConn::mu, never the reverse, and no ReliableFabric
+// endpoint lock held across a fabric send.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -103,7 +103,7 @@ TEST(ShutdownStress, ConcurrentShutdownCallsAreIdempotent) {
 
 // Full-engine variant: a reliable-delivery cluster over real TCP tears down
 // while graph calls are still completing on other threads. Ack retirement
-// (controller rel_mu_), per-peer sender queues (OutConn::mu), worker
+// (ReliableFabric endpoint locks), per-peer sender queues (OutConn::mu), worker
 // mailboxes (Worker::mu) and the BufferPool free list all churn while the
 // cluster destructor runs shutdown. The assertion is the absence of
 // deadlock, loss, or sanitizer reports — plus every issued call completing
