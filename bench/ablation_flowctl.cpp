@@ -1,4 +1,4 @@
-// Ablation — the split–merge flow-control window, static sweep vs adaptive.
+// Ablation — the split–merge flow-control window.
 //
 // The paper: "a feedback mechanism ensures that no more than a given number
 // of data objects is in circulation between a specific pair of split merge
@@ -12,13 +12,10 @@
 // messages are latency-bound (more tokens needed in flight) while large
 // ones saturate the simulated NIC almost immediately.
 //
-// The final configuration of every size runs the AdaptiveWindow controller
-// (ClusterConfig::adaptive_flow) against a 1024 ceiling and must land
-// within 5% of the best static window found by the sweep. Two self-checks
-// make this binary a regression gate rather than a chart generator:
-//  * knee exists:  time(window=1) > 1.05 x time(best static) at every size;
-//  * adaptive:     time(adaptive) <= time(best static) / 0.95 at every size.
-// Either violation exits nonzero, which fails tier1.sh's bench smoke.
+// A self-check makes this binary a regression gate rather than a chart
+// generator: a knee must exist, time(window=1) > 1.05 x time(best window)
+// at every size. A violation exits nonzero, which fails tier1.sh's bench
+// smoke.
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -32,11 +29,9 @@ using namespace dps;
 namespace {
 
 /// One simulated matmul run; returns the virtual time of the whole product.
-double run_config(int n, int s, int workers, double rate, uint32_t window,
-                  bool adaptive) {
+double run_config(int n, int s, int workers, double rate, uint32_t window) {
   ClusterConfig cfg = ClusterConfig::simulated(workers + 1);
   cfg.flow_window = window;
-  cfg.adaptive_flow = adaptive;
   Cluster cluster(cfg);
   Application app(cluster, "matmul");
   auto graph = apps::build_matmul_graph(app, workers);
@@ -57,7 +52,6 @@ int main(int argc, char** argv) {
   const double rate = 220e6;
   const std::vector<int> sizes = {4, 8, 16};
   const std::vector<uint32_t> windows = {1, 2, 4, 8, 16, 64, 1024};
-  const uint32_t adaptive_ceiling = 1024;
 
   std::cout << "Ablation — flow-control window sweep (" << n << "x" << n
             << " matmul, " << workers
@@ -71,7 +65,7 @@ int main(int argc, char** argv) {
     double base = -1;
     double best = -1;
     for (uint32_t window : windows) {
-      const double dt = run_config(n, s, workers, rate, window, false);
+      const double dt = run_config(n, s, workers, rate, window);
       if (base < 0) base = dt;
       if (best < 0 || dt < best) best = dt;
       std::printf("%-10u %-19.1f %.2fx\n", window, dt * 1e3, base / dt);
@@ -80,13 +74,8 @@ int main(int argc, char** argv) {
                       "/window=" + std::to_string(window),
                   dt * 1e6, base / dt);
     }
-    const double adt =
-        run_config(n, s, workers, rate, adaptive_ceiling, true);
-    std::printf("%-10s %-19.1f %.2fx\n", "adaptive", adt * 1e3, base / adt);
-    json.record("ablation_flowctl", "s=" + std::to_string(s) + "/adaptive",
-                adt * 1e6, base / adt);
-    // Self-check 1: a knee exists — window=1 serializes the pipeline, so it
-    // must be measurably slower than the best static window.
+    // Self-check: a knee exists — window=1 serializes the pipeline, so it
+    // must be measurably slower than the best window.
     if (base <= best * 1.05) {
       std::fprintf(stderr,
                    "SELF-CHECK FAILED: s=%d window curve is flat "
@@ -94,20 +83,10 @@ int main(int argc, char** argv) {
                    s, base * 1e3, best * 1e3);
       ok = false;
     }
-    // Self-check 2: the adaptive controller lands within 5% of the best
-    // static window it never got to see.
-    if (adt > best / 0.95) {
-      std::fprintf(stderr,
-                   "SELF-CHECK FAILED: s=%d adaptive %.3f ms is more than "
-                   "5%% behind best static %.3f ms\n",
-                   s, adt * 1e3, best * 1e3);
-      ok = false;
-    }
   }
   std::cout << "\nExpected shape: throughput rises with the window and "
                "saturates once enough tokens circulate to cover the "
                "communication latency; the knee sits further right for "
-               "small messages, and the adaptive controller tracks the "
-               "best static window at every size.\n";
+               "small messages.\n";
   return ok ? 0 : 1;
 }

@@ -48,7 +48,7 @@ double run(int rows, int cols, int nodes, bool improved, int iterations,
 /// Median wall-clock seconds per step_band call through the dispatch seam
 /// with the named backend selected, plus a result checksum for the
 /// bit-identity cross-check.
-double time_leaf_backend(const char* name, const life::Band& world,
+double time_leaf_kernel(const char* name, const life::Band& world,
                          uint64_t* population) {
   life::LifeBackends::select(name);
   const std::vector<uint8_t> dead;  // world edge above and below
@@ -81,8 +81,8 @@ int check_leaf(bench::JsonWriter& json) {
   std::printf("\n--check-leaf: step_band through the backend seam, "
               "%dx%d seeded band\n", n, n);
   uint64_t pop_naive = 0, pop_lut = 0;
-  const double t_naive = time_leaf_backend("naive", world, &pop_naive);
-  const double t_lut = time_leaf_backend("lut", world, &pop_lut);
+  const double t_naive = time_leaf_kernel("naive", world, &pop_naive);
+  const double t_lut = time_leaf_kernel("lut", world, &pop_lut);
   life::LifeBackends::reset_selection();
 
   const double cells = static_cast<double>(n) * n;

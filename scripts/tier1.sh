@@ -21,20 +21,20 @@
 #            analyzer's built-in fallback frontend
 #        DPS_BENCH_SMOKE=1 scripts/tier1.sh  # also run a reduced pass of
 #            every bench binary with --json, concatenate the records into
-#            BENCH_pr<N>.json, N one past the last "PR N:" line of
-#            CHANGES.md (includes micro_serialization's zero-realloc
-#            assertion, micro_engine's flat-dispatch assertion, the
-#            table2_services service-mesh sweep + overload self-checks,
-#            fig15_lu's --check-scaleout gate — 8-node pipelined must beat
-#            1-node — micro_steal's work-stealing gate, ablation_flowctl's
-#            knee + adaptive-window gates: adaptive within 5% of the best
-#            static window at every message size, fig9_life's --check-leaf
-#            gate — the LUT leaf kernel must beat naive 3x at 1024^2 on
-#            multi-core hosts — and stream_video's streaming self-checks:
-#            checksum-verified frames, base rate sustained within 20%, p99
-#            end-to-end under the SLO), and flag fig15_lu / fig6_throughput
-#            / fig9_life throughput regressions >10% against the newest
-#            committed BENCH_pr*.json numbered below N
+#            BENCH_pr<N>.json, N the number on the last "PR N:" line of
+#            CHANGES.md — log the change there first (includes
+#            micro_serialization's zero-realloc assertion, micro_engine's
+#            flat-dispatch assertion, the table2_services service-mesh
+#            sweep + overload self-checks, fig15_lu's --check-scaleout
+#            gate — 8-node pipelined must beat 1-node — ablation_flowctl's
+#            flow-window knee gate, fig9_life's --check-leaf gate — the LUT
+#            leaf kernel must beat naive 3x at 1024^2 on multi-core hosts —
+#            and stream_video's streaming self-checks: checksum-verified
+#            frames, base rate sustained within 20%, p99 end-to-end under
+#            the SLO), flag fig15_lu / fig6_throughput / fig9_life
+#            throughput regressions >10% against the newest committed
+#            BENCH_pr*.json numbered below N, and add every inline "SKIP:"
+#            line a harness prints to the skip list
 set -uo pipefail
 cd "$(dirname "$0")/.."
 JOBS="${JOBS:-$(nproc)}"
@@ -187,45 +187,62 @@ fi
 # breaks its contract (iteration slowdown >= 2x at 100 clients, a shed call
 # reporting anything but kBackpressure, or a tenant exceeding its in-flight
 # budget), fig15_lu --check-scaleout exits nonzero unless the 8-node
-# pipelined run actually beats 1 node (multicast scale-out), micro_steal
-# exits nonzero unless enabling work stealing actually steals and speeds up
-# an imbalanced pipeline (skipped below 4 cores), ablation_flowctl
-# exits nonzero unless a flow-window knee exists and the adaptive
-# controller lands within 5% of the best static window at every message
-# size, fig9_life --check-leaf exits nonzero unless the LUT leaf kernel
-# beats naive 3x at 1024^2 through the backend seam (skipped on
+# pipelined run actually beats 1 node (multicast scale-out),
+# ablation_flowctl exits nonzero unless a flow-window knee exists at
+# every message size, fig9_life --check-leaf exits nonzero unless the LUT
+# leaf kernel beats naive 3x at 1024^2 through the backend seam (skipped on
 # single-core hosts) or the two kernels disagree bit-wise, and
 # stream_video exits nonzero unless every frame's chained checksum
 # verifies, the base rate is sustained within 20%, and base-rate p99
 # end-to-end latency meets the SLO — all of those invariants are enforced
-# here too.
+# here too. A harness that skips a gate says so on a "SKIP: <reason>" line;
+# those reasons join the skip list printed at the end.
 set -e
-# The output is named one past the last "PR N:" line of CHANGES.md and is
-# compared against the newest committed BENCH_pr*.json numbered below it,
-# so neither name has to be edited by hand.
-pr=$(( $(sed -n 's/^PR \([0-9][0-9]*\):.*/\1/p' CHANGES.md | tail -n 1) + 1 ))
+# The output is named after the last "PR N:" line of CHANGES.md, which the
+# change being measured appends first, and is compared against the newest
+# committed BENCH_pr*.json numbered below it, so neither name has to be
+# edited by hand.
+pr=$(sed -n 's/^PR \([0-9][0-9]*\):.*/\1/p' CHANGES.md | tail -n 1)
+if [ -z "$pr" ]; then
+  echo "bench smoke: FAIL: CHANGES.md has no \"PR N:\" line to name BENCH_pr<N>.json"
+  exit 1
+fi
 bench_out="BENCH_pr${pr}.json"
 base_pr=$(git ls-files 'BENCH_pr*.json' |
   sed -n 's/^BENCH_pr\([0-9][0-9]*\)\.json$/\1/p' |
   awk -v pr="$pr" '$1 < pr' | sort -n | tail -n 1)
 bench_base="BENCH_pr${base_pr}.json"
+echo "bench smoke: writing $bench_out (last \"PR N:\" line of CHANGES.md)," \
+  "baseline $bench_base"
 smoke_dir=$(mktemp -d)
 trap 'rm -rf "$smoke_dir"' EXIT
+# run_bench <name> <command...>: runs one harness (its failure stops the
+# smoke) and adds each "SKIP: <reason>" line it prints to the skip list.
+run_bench() {
+  local name=$1 log="$smoke_dir/$1.log" reason
+  shift
+  "$@" 2>&1 | tee "$log"
+  while IFS= read -r reason; do
+    skipped+=("$name: $reason")
+  done < <(sed -n 's/^[[:space:]]*SKIP:[[:space:]]*//p' "$log")
+}
 b=build/bench
-"$b/fig6_throughput"    4    --json "$smoke_dir/fig6.json"
-"$b/micro_steal"             --json "$smoke_dir/micro_steal.json"
-"$b/table1_overlap"     256  --json "$smoke_dir/table1.json"
-"$b/fig9_life"          1    --check-leaf --json "$smoke_dir/fig9.json"
-"$b/fig15_lu"           512 110 32 --check-scaleout \
+run_bench fig6 "$b/fig6_throughput" 4 --json "$smoke_dir/fig6.json"
+run_bench table1 "$b/table1_overlap" 256 --json "$smoke_dir/table1.json"
+run_bench fig9 "$b/fig9_life" 1 --check-leaf --json "$smoke_dir/fig9.json"
+run_bench fig15 "$b/fig15_lu" 512 110 32 --check-scaleout \
   --json "$smoke_dir/fig15.json"
-"$b/table2_services"    1024 1 --json "$smoke_dir/table2.json"
-"$b/table2_services"    512 1 --sweep 1,10,100 --overload 100 2 \
-  --json "$smoke_dir/table2_mesh.json"
-"$b/ablation_flowctl"   256  --json "$smoke_dir/ablation.json"
-"$b/stream_video"       120  --json "$smoke_dir/stream_video.json"
-"$b/micro_engine"        --json "$smoke_dir/micro_engine.json" \
+run_bench table2 "$b/table2_services" 1024 1 --json "$smoke_dir/table2.json"
+run_bench table2_mesh "$b/table2_services" 512 1 --sweep 1,10,100 \
+  --overload 100 2 --json "$smoke_dir/table2_mesh.json"
+run_bench ablation "$b/ablation_flowctl" 256 --json "$smoke_dir/ablation.json"
+run_bench stream_video "$b/stream_video" 120 \
+  --json "$smoke_dir/stream_video.json"
+run_bench micro_engine "$b/micro_engine" \
+  --json "$smoke_dir/micro_engine.json" \
   --benchmark_filter='BM_CallLatencySingleNode|BM_TokenThroughputSerialized/256|BM_DispatchMergeMatch'
-"$b/micro_serialization" --json "$smoke_dir/micro_serial.json" \
+run_bench micro_serial "$b/micro_serialization" \
+  --json "$smoke_dir/micro_serial.json" \
   --benchmark_filter='BM_SimpleTokenRoundTrip|BM_ComplexTokenRoundTrip/4096'
 cat "$smoke_dir"/*.json > "$bench_out"
 echo "bench smoke: $(wc -l < "$bench_out") records -> $bench_out"
@@ -234,3 +251,5 @@ echo "bench smoke: $(wc -l < "$bench_out") records -> $bench_out"
 # (fig9's wall-clock leaf=* configs are advisory; the in-binary
 # --check-leaf gate owns that win).
 python3 scripts/bench_compare.py "$bench_base" "$bench_out"
+echo "bench smoke: all harnesses passed on $(nproc) hardware threads"
+list_skips

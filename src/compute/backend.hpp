@@ -9,19 +9,11 @@
 // through `BackendRegistry<K>::active()` and stay oblivious to whether the
 // naive reference or an optimized kernel is running underneath.
 //
-// Selection precedence (first match wins):
-//   1. an explicit BackendRegistry<K>::select(name) — tests and benches;
-//   2. the process-wide default requested through set_default_backend()
-//      (Cluster applies ClusterConfig::leaf_backend here);
-//   3. the DPS_LEAF environment variable;
-//   4. the registration default (register_backend(..., make_default=true)).
-// A name from (2)/(3) that no implementation of a given kernel family
-// carries falls back to (4): DPS_LEAF=lut must not break a kernel family
-// that only ships a naive implementation.
+// Selection: an explicit BackendRegistry<K>::select(name) — tests and
+// benches — else the registration default (register_backend(...,
+// make_default=true)).
 #pragma once
 
-#include <atomic>
-#include <cstdlib>
 #include <deque>
 #include <string>
 #include <vector>
@@ -30,45 +22,6 @@
 #include "util/thread_annotations.hpp"
 
 namespace dps::compute {
-
-namespace detail {
-
-/// Process-wide requested backend name, shared by every registry. `gen`
-/// bumps on each change so registries can cheaply notice and re-resolve.
-struct DefaultBackendState {
-  Mutex mu;
-  std::string name DPS_GUARDED_BY(mu);
-  std::atomic<uint64_t> gen{1};
-};
-
-inline DefaultBackendState& default_backend_state() {
-  static DefaultBackendState s;
-  return s;
-}
-
-}  // namespace detail
-
-/// Requests `name` as the process-wide backend for every kernel family
-/// (Cluster construction applies ClusterConfig::leaf_backend through this).
-/// Empty string clears the request back to env/registration defaults.
-inline void set_default_backend(const std::string& name) {
-  auto& s = detail::default_backend_state();
-  MutexLock lock(s.mu);
-  s.name = name;
-  s.gen.fetch_add(1, std::memory_order_release);
-}
-
-/// The currently requested process-wide backend name: the last
-/// set_default_backend() value, else $DPS_LEAF, else "".
-inline std::string default_backend() {
-  auto& s = detail::default_backend_state();
-  {
-    MutexLock lock(s.mu);
-    if (!s.name.empty()) return s.name;
-  }
-  const char* env = std::getenv("DPS_LEAF");
-  return env != nullptr ? std::string(env) : std::string();
-}
 
 /// Named implementations of one kernel family KernelT (a trivially
 /// copyable struct of function pointers). One registry instantiation per
@@ -84,8 +37,8 @@ class BackendRegistry {
   };
 
   /// Registers `name`; re-registering an existing name is an error.
-  /// `make_default` marks this entry as the fallback when no explicit or
-  /// process-wide selection names a registered implementation.
+  /// `make_default` marks this entry as the one active() returns while no
+  /// select() is in force.
   static void register_backend(const std::string& name, const KernelT& kernel,
                                bool make_default = false) {
     State& s = state();
@@ -97,7 +50,6 @@ class BackendRegistry {
     if (make_default || s.entries.size() == 1) {
       s.default_index = s.entries.size() - 1;
     }
-    s.resolved = nullptr;  // force re-resolution
   }
 
   /// The kernel registered under `name`, or nullptr when unknown.
@@ -117,8 +69,8 @@ class BackendRegistry {
     return out;
   }
 
-  /// Pins this kernel family to `name`, overriding the process default.
-  /// Throws Error(kInvalidArgument) for an unregistered name.
+  /// Pins this kernel family to `name`, overriding the registration
+  /// default. Throws Error(kInvalidArgument) for an unregistered name.
   static void select(const std::string& name) {
     State& s = state();
     MutexLock lock(s.mu);
@@ -126,37 +78,29 @@ class BackendRegistry {
     if (e == nullptr) {
       throw Error(Errc::kInvalidArgument, "unknown leaf backend: " + name);
     }
-    s.explicit_name = name;
-    s.resolved = e;
+    s.selected = e;
   }
 
-  /// Clears an explicit select(); the family follows the process default
-  /// (set_default_backend / DPS_LEAF) again.
+  /// Clears an explicit select(); the family follows its registration
+  /// default again.
   static void reset_selection() {
     State& s = state();
     MutexLock lock(s.mu);
-    s.explicit_name.clear();
-    s.resolved = nullptr;
+    s.selected = nullptr;
   }
 
   /// The active kernel. At least one implementation must be registered.
   static const KernelT& active() {
     State& s = state();
-    const uint64_t gen = detail::default_backend_state().gen.load(
-        std::memory_order_acquire);
     MutexLock lock(s.mu);
-    if (s.resolved == nullptr || s.resolved_gen != gen) resolve_locked(s, gen);
-    return s.resolved->kernel;
+    return active_locked(s).kernel;
   }
 
   /// Name of the kernel active() would return.
   static std::string active_name() {
     State& s = state();
-    const uint64_t gen = detail::default_backend_state().gen.load(
-        std::memory_order_acquire);
     MutexLock lock(s.mu);
-    if (s.resolved == nullptr || s.resolved_gen != gen) resolve_locked(s, gen);
-    return s.resolved->name;
+    return active_locked(s).name;
   }
 
  private:
@@ -166,9 +110,7 @@ class BackendRegistry {
     // returned by find() never dangle.
     std::deque<Entry> entries DPS_GUARDED_BY(mu);
     size_t default_index DPS_GUARDED_BY(mu) = 0;
-    std::string explicit_name DPS_GUARDED_BY(mu);
-    const Entry* resolved DPS_GUARDED_BY(mu) = nullptr;
-    uint64_t resolved_gen DPS_GUARDED_BY(mu) = 0;
+    const Entry* selected DPS_GUARDED_BY(mu) = nullptr;  ///< select()
   };
 
   static State& state() {
@@ -184,17 +126,9 @@ class BackendRegistry {
     return nullptr;
   }
 
-  static void resolve_locked(State& s, uint64_t gen) DPS_REQUIRES(s.mu) {
+  static const Entry& active_locked(State& s) DPS_REQUIRES(s.mu) {
     DPS_CHECK(!s.entries.empty(), "no leaf backends registered");
-    const Entry* choice = nullptr;
-    if (!s.explicit_name.empty()) choice = find_locked(s, s.explicit_name);
-    if (choice == nullptr) {
-      const std::string requested = default_backend();
-      if (!requested.empty()) choice = find_locked(s, requested);
-    }
-    if (choice == nullptr) choice = &s.entries[s.default_index];
-    s.resolved = choice;
-    s.resolved_gen = gen;
+    return s.selected != nullptr ? *s.selected : s.entries[s.default_index];
   }
 };
 

@@ -3,7 +3,6 @@
 #include <chrono>
 #include <map>
 
-#include "compute/backend.hpp"
 #include "core/application.hpp"
 #include "core/controller.hpp"
 #include "core/thread_collection.hpp"
@@ -60,9 +59,6 @@ ClusterConfig ClusterConfig::shm(int node_count) {
 
 Cluster::Cluster(ClusterConfig config) : config_(std::move(config)) {
   DPS_CHECK(!config_.nodes.empty(), "cluster needs at least one node");
-  if (!config_.leaf_backend.empty()) {
-    compute::set_default_backend(config_.leaf_backend);
-  }
   const size_t n = config_.nodes.size();
   if (config_.external_fabric) {
     domain_ = std::make_unique<WallDomain>();

@@ -63,11 +63,6 @@ struct ClusterConfig {
   /// balancing"). Generous default; benchmarks sweep it explicitly.
   uint32_t flow_window = 1u << 16;
 
-  /// Adaptive split flow-control window (core/flow_adapt.hpp): each
-  /// split's window moves between 1 and the tenant ceiling from measured
-  /// credit round trips and receiver queue depths. Off = static window.
-  bool adaptive_flow = false;
-
   /// Virtual-time mode: processor slots per node. The paper's cluster is
   /// made of bi-processor Pentium III machines.
   int sim_cpus_per_node = 2;
@@ -76,21 +71,6 @@ struct ClusterConfig {
   /// by default: fault-free fabrics pay zero overhead and keep their exact
   /// frame accounting).
   FaultToleranceConfig fault;
-
-  /// Idle workers steal dispatchable work from sibling workers of the same
-  /// collection (core/run_queue.hpp). Off by default: stealing moves a
-  /// token to a different thread index than its route chose, which is only
-  /// sound for load-balanced routes — content-addressed routes (a merge's
-  /// context affinity, hash routing) must keep it off.
-  bool work_stealing = false;
-
-  /// Leaf-compute backend for this process (compute/backend.hpp): the
-  /// cluster constructor forwards a non-empty name to
-  /// compute::set_default_backend(), overriding env DPS_LEAF. Kernel
-  /// families that don't register the name keep their own default (e.g.
-  /// "lut" for the Life stepper). Process-wide, like DPS_LEAF: the last
-  /// constructed cluster with a non-empty name wins.
-  std::string leaf_backend;
 
   static ClusterConfig inproc(int node_count);
   static ClusterConfig tcp(int node_count);

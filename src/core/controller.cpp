@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <deque>
 #include <optional>
-
-#include "core/flow_adapt.hpp"
 
 #include "core/application.hpp"
 #include "core/checkpoint.hpp"
@@ -67,50 +64,23 @@ struct Controller::Worker {
   std::atomic<bool> poison{false};
   std::atomic<uint32_t>* depth_slot = nullptr;
 
-  /// Run-queue state. The owning OS thread is the only pusher and the
-  /// dominant popper; with ClusterConfig::work_stealing, idle siblings
-  /// additionally call run.steal_context() — the RunQueue serializes
-  /// internally. drain_buf stays worker-private (thieves never drain a
-  /// sibling's inbox: two interleaved drains could invert the same-context
-  /// arrival order while the envelopes sit in separate swap buffers).
+  /// Worker-private: only the owning OS thread touches these.
   RunQueue run;
   std::vector<Envelope> drain_buf;  ///< recycled swap target for drains
 
-  /// This worker's steal domain (siblings of its collection on this node);
-  /// null when work stealing is off. Set before the OS thread starts.
-  StealGroup* steal_group = nullptr;
-  /// Raised (under mu) by a backlogged sibling: "wake up and steal".
-  std::atomic<bool> steal_hint{false};
-
   std::thread os_thread;
-};
-
-/// The workers of one collection on one node — the domain inside which
-/// idle workers steal. Membership only grows (workers are never removed
-/// before controller shutdown joins them all), and the group object is
-/// heap-stable, so workers hold raw pointers.
-struct Controller::StealGroup {
-  Mutex mu;
-  std::vector<Worker*> members DPS_GUARDED_BY(mu);
-  size_t rr DPS_GUARDED_BY(mu) = 0;  ///< hint round-robin cursor
 };
 
 struct Controller::FlowAccount {
   Mutex mu;
   WaitPoint wp DPS_GUARDED_BY(mu);
-  /// Window ceiling of the owning tenant, frozen at split start (per-tenant
-  /// flow control, docs/SERVICE_MESH.md). With `adaptive` set this is the
-  /// upper clamp; otherwise it is the static window itself.
+  /// Window of the owning tenant, frozen at split start (per-tenant flow
+  /// control, docs/SERVICE_MESH.md).
   uint32_t window = 0;
   uint32_t in_flight DPS_GUARDED_BY(mu) = 0;
   /// Owning split/stream execution completed.
   bool finished DPS_GUARDED_BY(mu) = false;
   bool poison DPS_GUARDED_BY(mu) = false;
-  /// ClusterConfig::adaptive_flow controller; null = static window.
-  std::unique_ptr<AdaptiveWindow> adaptive DPS_GUARDED_BY(mu);
-  /// domain().now() stamps of in-flight credits, oldest first — the RTT
-  /// source of the adaptive controller (credit round trip, not frame RTT).
-  std::deque<double> sends DPS_GUARDED_BY(mu);
 };
 
 /// Collects the envelopes decoded from one receive chunk, grouped by
@@ -747,19 +717,11 @@ class Controller::ExecCtx : public detail::OpServices {
     }
   }
 
-  /// This worker's inbox depth, piggybacked on flow acks as the receiver
-  /// congestion signal of the adaptive window controller.
-  uint32_t inbox_depth() const {
-    return worker_.depth_slot == nullptr
-               ? 0
-               : worker_.depth_slot->load(std::memory_order_relaxed);
-  }
-
   /// Records one consumed token of the merge/stream input context; credits
   /// to remote splits are batched and flushed by flush_acks().
   void note_consumed(const SplitFrame& frame) {
     if (frame.split_node == controller_.self_) {
-      controller_.apply_flow_release(frame.context, 1, inbox_depth());
+      controller_.apply_flow_release(frame.context, 1);
       return;
     }
     if (acks_pending_ == 0) ack_frame_ = frame;
@@ -773,7 +735,7 @@ class Controller::ExecCtx : public detail::OpServices {
     acks_pending_ = 0;
     // All tokens of one merge context share the split's context id and
     // node, so the whole batch collapses into one frame.
-    controller_.send_flow_ack(ack_frame_, n, inbox_depth());
+    controller_.send_flow_ack(ack_frame_, n);
   }
 
   void cleanup_after_failure() {
@@ -842,13 +804,6 @@ void Controller::spawn_worker(ThreadCollectionBase& collection,
     auto key = std::make_pair(collection.id(), index);
     DPS_CHECK(workers_.find(key) == workers_.end(),
               "thread already spawned at this (collection, index)");
-    if (cluster_.config().work_stealing) {
-      auto& group = steal_groups_[collection.id()];
-      if (!group) group = std::make_unique<StealGroup>();
-      raw->steal_group = group.get();
-      MutexLock glock(group->mu);
-      group->members.push_back(raw);
-    }
     workers_.emplace(key, std::move(w));
   }
   cluster_.domain().reserve_actor();
@@ -878,30 +833,20 @@ void Controller::worker_loop(Worker& w) {
 #endif
   // Under virtual time, this DPS thread competes for its node's CPUs.
   domain.bind_cpu(static_cast<int>(self_));
-  const bool stealing = w.steal_group != nullptr;
   for (;;) {
-    const bool drained = drain_inbox(w);
-    if (stealing && drained) hint_siblings(w);
-    if (w.run.empty()) {
-      if (stealing && try_steal(w)) continue;
+    drain_inbox(w);
+    Envelope env;
+    if (!w.run.pop_front(&env)) {
       MutexLock lock(w.mu);
       try {
-        domain.wait_until(w.wp, w.mu, [&] {
-          return w.poison || !w.inbox.empty() ||
-                 w.steal_hint.load(std::memory_order_relaxed);
-        });
+        domain.wait_until(w.wp, w.mu,
+                          [&] { return w.poison || !w.inbox.empty(); });
       } catch (const Error&) {
         break;  // simulation stopped or stalled while idle
-      }
-      if (w.steal_hint.load(std::memory_order_relaxed)) {
-        w.steal_hint.store(false, std::memory_order_relaxed);
-        if (!w.poison || !w.inbox.empty()) continue;  // go drain + steal
       }
       if (w.inbox.empty()) break;  // poisoned and drained
       continue;  // re-drain outside the lock
     }
-    Envelope env;
-    w.run.pop_front(&env);
     if (w.depth_slot != nullptr) {
       w.depth_slot->fetch_sub(1, std::memory_order_relaxed);
     }
@@ -928,99 +873,14 @@ void Controller::worker_loop(Worker& w) {
   domain.actor_finished();
 }
 
-bool Controller::try_steal(Worker& w) {
-  StealGroup* g = w.steal_group;
-  if (g == nullptr) return false;
-  // Victim choice: the sibling with the deepest queue (inbox + run). The
-  // depth slots are the same relaxed counters the routing load-balancers
-  // read, so this costs no extra bookkeeping.
-  Worker* victim = nullptr;
-  uint32_t best = 0;
-  {
-    MutexLock lock(g->mu);
-    for (Worker* m : g->members) {
-      if (m == &w || m->poison.load(std::memory_order_relaxed)) continue;
-      const uint32_t d = m->depth_slot != nullptr
-                             ? m->depth_slot->load(std::memory_order_relaxed)
-                             : 0;
-      if (d > best) {
-        best = d;
-        victim = m;
-      }
-    }
-  }
-  if (victim == nullptr) return false;
-  // Halving budget: taking at most half the victim's dispatchable backlog
-  // keeps repeated steals convergent (no whole-queue ping-pong between two
-  // idle workers) while still moving a meaningful chunk per operation.
-  const size_t victim_disp = victim->run.dispatchable_count();
-  if (victim_disp == 0) return false;
-  const size_t budget = std::max<size_t>(1, victim_disp / 2);
-  std::vector<Envelope> loot;
-  const size_t n = victim->run.steal_context(&loot, budget);
-  if (n == 0) return false;
-  const auto moved = static_cast<uint32_t>(n);
-  if (victim->depth_slot != nullptr) {
-    victim->depth_slot->fetch_sub(moved, std::memory_order_relaxed);
-  }
-  if (w.depth_slot != nullptr) {
-    w.depth_slot->fetch_add(moved, std::memory_order_relaxed);
-  }
-  steals_.fetch_add(1, std::memory_order_relaxed);
-  stolen_envelopes_.fetch_add(n, std::memory_order_relaxed);
-#ifdef DPS_TRACE
-  if (obs::tracing_active()) {
-    obs::Trace::instance().record(obs::EventKind::kSteal, self_, w.collection,
-                                  victim->index, w.index, n);
-    static obs::Counter& steals =
-        obs::Metrics::instance().counter("dps.sched.steals");
-    steals.inc();
-    static obs::Counter& stolen =
-        obs::Metrics::instance().counter("dps.sched.stolen_envelopes");
-    stolen.inc(n);
-  }
-#endif
-  // The loot is a FIFO prefix of one (vertex, context) run; re-pushing in
-  // order makes this worker execute it in exactly that order.
-  for (Envelope& env : loot) w.run.push(std::move(env), true);
-  // Steal chaining: a thief that grabbed a real batch has become a victim
-  // worth stealing from, and other siblings may still be parked (the
-  // original victim hints one sibling per drain). Propagating the hint
-  // fans the backlog out to the whole group in O(log workers) wakes.
-  hint_siblings(w);
-  return true;
-}
-
-void Controller::hint_siblings(Worker& w) {
-  // Only worth waking anyone for a real backlog: one pending envelope is
-  // this worker's next dispatch anyway.
-  if (w.run.dispatchable_count() < 2) return;
-  StealGroup* g = w.steal_group;
-  if (g == nullptr) return;
-  Worker* target = nullptr;
-  {
-    MutexLock lock(g->mu);
-    const size_t k = g->members.size();
-    for (size_t i = 0; i < k && target == nullptr; ++i) {
-      Worker* m = g->members[g->rr++ % k];
-      if (m == &w || m->poison.load(std::memory_order_relaxed)) continue;
-      target = m;
-    }
-  }
-  if (target == nullptr) return;
-  MutexLock lock(target->mu);
-  target->steal_hint.store(true, std::memory_order_relaxed);
-  cluster_.domain().notify_all(target->wp);
-}
-
-bool Controller::drain_inbox(Worker& w) {
+void Controller::drain_inbox(Worker& w) {
   // Cheap out: producers bump inbox_count after appending; while it reads
   // 0 the worker skips the lock entirely. A stale 0 only delays the drain
   // to the pre-block re-check under mu, so no wakeup is lost.
-  if (w.inbox_count.load(std::memory_order_relaxed) == 0) return false;
+  if (w.inbox_count.load(std::memory_order_relaxed) == 0) return;
   {
     MutexLock lock(w.mu);
-    if (w.inbox.empty()) return false;
+    if (w.inbox.empty()) return;
     w.inbox_count.store(0, std::memory_order_relaxed);
     w.drain_buf.swap(w.inbox);
   }
@@ -1034,7 +894,6 @@ bool Controller::drain_inbox(Worker& w) {
     w.run.push(std::move(e), disp);
   }
   w.drain_buf.clear();
-  return true;
 }
 
 void Controller::dispatch(Worker& w, Envelope env) {
@@ -1307,13 +1166,8 @@ void Controller::handle_frame(const NodeMessage& msg, DeliveryBatch& batch) {
       batch.add(Envelope::decode(r));
       break;
     case FrameKind::kFlowAck: {
-      const ContextId ctx = r.get<ContextId>();
-      const uint32_t n = r.get<uint32_t>();
-      // Receiver inbox depth rides as an optional trailer (wire compat
-      // with pre-adaptive senders that stop after the count).
-      const uint32_t depth =
-          r.remaining() >= sizeof(uint32_t) ? r.get<uint32_t>() : 0;
-      apply_flow_release(ctx, n, depth);
+      const FlowAck ack = decode_flow_ack(r);
+      apply_flow_release(ack.context, ack.n);
       break;
     }
     case FrameKind::kMcastEnvelope:
@@ -1376,12 +1230,6 @@ ContextId Controller::new_context_id() {
 void Controller::create_flow_account(ContextId ctx, uint32_t window) {
   auto acc = std::make_unique<FlowAccount>();
   acc->window = window;
-  if (cluster_.config().adaptive_flow) {
-    // No concurrency before the account is published; the lock only
-    // satisfies the GUARDED_BY annotation.
-    MutexLock al(acc->mu);
-    acc->adaptive = std::make_unique<AdaptiveWindow>(window);
-  }
   MutexLock lock(flow_mu_);
   if (flow_down_) {
     MutexLock al(acc->mu);
@@ -1399,24 +1247,17 @@ void Controller::flow_acquire(ContextId ctx, uint32_t min_window) {
     acc = it->second.get();
   }
   MutexLock lock(acc->mu);
-  // Static accounts freeze the tenant window at split start; adaptive ones
-  // re-read the controller's current window on every acquire. `min_window`
-  // keeps a collective live: its posting worker may also serve the merge
-  // that returns these very credits, so a wait that can only be satisfied
-  // by releases is a deadlock, not backpressure.
+  // `min_window` keeps a collective live: its posting worker may also serve
+  // the merge that returns these very credits, so a wait that can only be
+  // satisfied by releases is a deadlock, not backpressure.
+  const uint32_t window = std::max(acc->window, min_window);
   cluster_.domain().wait_until(acc->wp, acc->mu, [&] {
-    uint32_t window =
-        acc->adaptive != nullptr ? acc->adaptive->window() : acc->window;
-    if (window < min_window) window = min_window;
     return acc->poison || acc->in_flight < window;
   });
   if (acc->poison) {
     raise(Errc::kState, "shutdown while waiting for flow-control window");
   }
   ++acc->in_flight;
-  if (acc->adaptive != nullptr) {
-    acc->sends.push_back(cluster_.domain().now());
-  }
 #ifdef DPS_TRACE
   obs::Trace::instance().record(obs::EventKind::kFlowAcquire, self_, ctx, 0, 0,
                                 acc->in_flight);
@@ -1439,8 +1280,7 @@ void Controller::finish_flow_account(ContextId ctx) {
   if (drained) accounts_.erase(it);
 }
 
-void Controller::apply_flow_release(ContextId ctx, uint32_t n,
-                                    uint32_t receiver_depth) {
+void Controller::apply_flow_release(ContextId ctx, uint32_t n) {
   MutexLock lock(flow_mu_);
   auto it = accounts_.find(ctx);
   if (it == accounts_.end()) return;  // late ack after account drained
@@ -1449,29 +1289,6 @@ void Controller::apply_flow_release(ContextId ctx, uint32_t n,
     MutexLock al(it->second->mu);
     FlowAccount& acc = *it->second;
     acc.in_flight = (acc.in_flight >= n) ? acc.in_flight - n : 0;
-    if (acc.adaptive != nullptr) {
-      // Credit round trip, measured from the oldest outstanding acquire.
-      double rtt = 0;
-      if (!acc.sends.empty()) {
-        rtt = cluster_.domain().now() - acc.sends.front();
-        for (uint32_t i = 0; i < n && !acc.sends.empty(); ++i) {
-          acc.sends.pop_front();
-        }
-      }
-      if (acc.adaptive->on_ack(rtt, receiver_depth, n)) {
-#ifdef DPS_TRACE
-        if (obs::tracing_active()) {
-          obs::Trace::instance().record(obs::EventKind::kFlowWindow, self_,
-                                        ctx, acc.adaptive->window(),
-                                        receiver_depth, acc.in_flight);
-          static obs::Gauge& window_gauge =
-              obs::Metrics::instance().gauge("dps.flow.window");
-          window_gauge.set(acc.adaptive->window());
-          window_gauge.update_max(acc.adaptive->window());
-        }
-#endif
-      }
-    }
 #ifdef DPS_TRACE
     obs::Trace::instance().record(obs::EventKind::kFlowRelease, self_, ctx, 0,
                                   n, acc.in_flight);
@@ -1482,17 +1299,14 @@ void Controller::apply_flow_release(ContextId ctx, uint32_t n,
   if (drained) accounts_.erase(it);
 }
 
-void Controller::send_flow_ack(const SplitFrame& frame, uint32_t n,
-                               uint32_t receiver_depth) {
+void Controller::send_flow_ack(const SplitFrame& frame, uint32_t n) {
   if (n == 0) return;
   if (frame.split_node == self_) {
-    apply_flow_release(frame.context, n, receiver_depth);
+    apply_flow_release(frame.context, n);
     return;
   }
   Writer w;
-  w.put<ContextId>(frame.context);
-  w.put<uint32_t>(n);
-  w.put<uint32_t>(receiver_depth);
+  encode_flow_ack(w, FlowAck{frame.context, n});
   fabric_send(frame.split_node, FrameKind::kFlowAck, w.take());
 }
 

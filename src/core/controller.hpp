@@ -71,15 +71,6 @@ class Controller {
   /// Number of envelopes dispatched on this node (tests/benchmarks).
   uint64_t dispatched() const { return dispatched_.load(std::memory_order_relaxed); }
 
-  // --- work stealing (docs/PERFORMANCE.md) ----------------------------------
-  /// Always-on stealing counters (ClusterConfig::work_stealing): steal
-  /// operations and envelopes moved. The dps.sched.steals metric mirrors
-  /// these under DPS_TRACE; tests assert on the accessors in every flavor.
-  uint64_t steals() const { return steals_.load(std::memory_order_relaxed); }
-  uint64_t stolen_envelopes() const {
-    return stolen_envelopes_.load(std::memory_order_relaxed);
-  }
-
   // --- service-mesh admission control (docs/SERVICE_MESH.md) ----------------
   /// Always-on per-tenant admission counters. The authoritative source of
   /// the dps.svc.{admitted,shed,deadline_expired,inflight} metrics (the
@@ -146,7 +137,6 @@ class Controller {
 
  private:
   struct Worker;
-  struct StealGroup;
   struct FlowAccount;
   class ExecCtx;
   class DeliveryBatch;
@@ -154,16 +144,9 @@ class Controller {
   // Engine internals.
   void worker_loop(Worker& w);
   /// Swaps the worker's inbox out under its lock and indexes every drained
-  /// envelope into the worker-private run queue. Returns false when the
-  /// inbox was empty. Must run on the worker's own thread.
-  bool drain_inbox(Worker& w);
-  /// Steals the oldest dispatchable context run from the deepest sibling
-  /// worker of `w`'s collection into `w`'s run queue. Returns true when
-  /// anything was stolen. Called by idle workers only.
-  bool try_steal(Worker& w);
-  /// Wakes one sibling (round-robin) with a steal hint when `w` has a
-  /// backlog of dispatchable work. Called after a successful drain.
-  void hint_siblings(Worker& w);
+  /// envelope into the worker-private run queue. Must run on the worker's
+  /// own thread.
+  void drain_inbox(Worker& w);
   void dispatch(Worker& w, Envelope env);
   void dispatch_graph_call(Worker& w, Envelope env);
   void continue_graph_call(AppId app, GraphId graph, VertexId vertex,
@@ -186,15 +169,12 @@ class Controller {
   /// Split done; erase when drained — or immediately when poisoned, since
   /// a poisoned account's outstanding credits can never return.
   void finish_flow_account(ContextId ctx);
-  /// `receiver_depth` is the consuming worker's inbox depth piggybacked on
-  /// the ack — one input of the adaptive window controller.
-  void apply_flow_release(ContextId ctx, uint32_t n,
-                          uint32_t receiver_depth = 0);
+  /// Returns `n` credits to the local account `ctx`; a finished account is
+  /// erased once its last credit is back.
+  void apply_flow_release(ContextId ctx, uint32_t n);
   /// Returns `n` consumed-token credits to the split's flow account —
   /// locally, or as one batched kFlowAck frame (ExecCtx coalesces).
-  /// `receiver_depth` reports the consumer's current inbox depth.
-  void send_flow_ack(const SplitFrame& frame, uint32_t n,
-                     uint32_t receiver_depth);
+  void send_flow_ack(const SplitFrame& frame, uint32_t n);
 
   /// The single exit point for engine frames: ships `payload` (followed
   /// by the shared `body`, when set) through the cluster fabric.
@@ -225,14 +205,7 @@ class Controller {
   mutable Mutex workers_mu_;
   std::map<std::pair<CollectionId, ThreadIndex>, std::unique_ptr<Worker>>
       workers_ DPS_GUARDED_BY(workers_mu_);
-  /// Steal domains, one per collection with workers on this node. Only
-  /// populated when ClusterConfig::work_stealing is on; groups are stable
-  /// heap objects so workers keep a raw pointer to their own.
-  std::map<CollectionId, std::unique_ptr<StealGroup>> steal_groups_
-      DPS_GUARDED_BY(workers_mu_);
   bool down_ DPS_GUARDED_BY(workers_mu_) = false;
-  std::atomic<uint64_t> steals_{0};
-  std::atomic<uint64_t> stolen_envelopes_{0};
 
   mutable Mutex flow_mu_;
   std::unordered_map<ContextId, std::unique_ptr<FlowAccount>> accounts_

@@ -9,6 +9,7 @@
 // pointer; across nodes they serialize through encode()/decode().
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "core/ids.hpp"
@@ -26,6 +27,37 @@ struct SplitFrame {
   NodeId split_node = 0;  ///< node to send flow-control acks to
 };
 static_assert(std::is_trivially_copyable_v<SplitFrame>);
+
+/// A kFlowAck frame: `n` tokens of split context `context` were consumed,
+/// so the split's node gets `n` flow-control credits back.
+///
+///   u64 context | u32 n
+struct FlowAck {
+  ContextId context = 0;
+  uint32_t n = 0;
+};
+
+/// Exact size of a kFlowAck payload.
+inline constexpr size_t kFlowAckSize = sizeof(ContextId) + sizeof(uint32_t);
+
+inline void encode_flow_ack(Writer& w, const FlowAck& ack) {
+  w.put(ack.context);
+  w.put(ack.n);
+}
+
+/// Decodes a whole kFlowAck payload: exactly kFlowAckSize bytes, else
+/// Error(kProtocol).
+inline FlowAck decode_flow_ack(Reader& r) {
+  if (r.remaining() != kFlowAckSize) {
+    raise(Errc::kProtocol, "flow ack of " + std::to_string(r.remaining()) +
+                               " bytes, expected " +
+                               std::to_string(kFlowAckSize));
+  }
+  FlowAck ack;
+  ack.context = r.get<ContextId>();
+  ack.n = r.get<uint32_t>();
+  return ack;
+}
 
 struct Envelope {
   AppId app = 0;

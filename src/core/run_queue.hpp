@@ -24,19 +24,9 @@
 // growth), and freed nodes recycle through a free list, so steady-state
 // operation allocates nothing.
 //
-// Threading: the queue is owned by one worker thread, but when work
-// stealing is enabled (ClusterConfig::work_stealing) idle sibling workers
-// call steal_context() concurrently with the owner's operations, so every
-// method serializes on an internal mutex. The owner is the only pusher and
-// the dominant popper; the lock is uncontended unless a thief is active.
-//
-// steal_context takes work at *context* granularity: it picks the oldest
-// dispatchable envelope and extracts a FIFO prefix of its (vertex,
-// context) run. Only dispatchable envelopes are ever stolen — bucketed
-// merge/stream openers keep their claim/re-entrancy semantics — and the
-// extraction removes nodes through the same unlink paths as pop_*, so the
-// victim's tenant round-robin and per-context FIFO of what remains are
-// untouched: everything left behind is strictly newer than what was taken.
+// Threading: the queue is worker-private. Only the owning worker thread
+// pushes (from its inbox drain) and pops, so it takes no lock; producers on
+// other threads only ever touch the worker's inbox.
 #pragma once
 
 #include <cstdint>
@@ -44,40 +34,24 @@
 #include <vector>
 
 #include "core/envelope.hpp"
-#include "util/thread_annotations.hpp"
 
 namespace dps {
 
 class RunQueue {
  public:
-  bool empty() const {
-    MutexLock lock(mu_);
-    return size_ == 0;
-  }
-  size_t size() const {
-    MutexLock lock(mu_);
-    return size_;
-  }
-  bool has_dispatchable() const {
-    MutexLock lock(mu_);
-    return disp_count_ != 0;
-  }
-  size_t dispatchable_count() const {
-    MutexLock lock(mu_);
-    return disp_count_;
-  }
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
+  bool has_dispatchable() const { return disp_count_ != 0; }
 
   /// Appends `env`. `dispatchable` says whether the envelope may run
   /// re-entrantly under a waiting collection; when false it is bucketed
   /// under (env.vertex, input context) for O(1) merge matching.
   void push(Envelope&& env, bool dispatchable) {
-    MutexLock lock(mu_);
     const uint32_t n = alloc();
     Node& node = slab_[n];
     node.env = std::move(env);
     node.dispatchable = dispatchable;
     node.key = key_of(node.env);
-    node.stamp = next_stamp_++;
     link_back(n, &global_head_, &global_tail_, &Node::gprev, &Node::gnext);
     if (dispatchable) {
       node.tq = tenant_queue(node.env.tenant);
@@ -92,14 +66,10 @@ class RunQueue {
   }
 
   /// Oldest pending envelope regardless of kind (top-level dispatch order).
-  bool pop_front(Envelope* out) {
-    MutexLock lock(mu_);
-    return take(global_head_, out);
-  }
+  bool pop_front(Envelope* out) { return take(global_head_, out); }
 
   /// Oldest pending input of collection (vertex, ctx); FIFO per context.
   bool pop_context(VertexId vertex, ContextId ctx, Envelope* out) {
-    MutexLock lock(mu_);
     const auto it = buckets_.find(Key{vertex, ctx});
     if (it == buckets_.end()) return false;
     return take(it->second.head, out);
@@ -108,7 +78,6 @@ class RunQueue {
   /// Next envelope safe for re-entrant dispatch: round-robin across the
   /// tenants with pending dispatchable work, FIFO within each tenant.
   bool pop_dispatchable(Envelope* out) {
-    MutexLock lock(mu_);
     if (disp_count_ == 0) return false;
     const size_t k = tqs_.size();
     for (size_t i = 0; i < k; ++i) {
@@ -119,42 +88,6 @@ class RunQueue {
       }
     }
     return false;  // unreachable while disp_count_ is maintained
-  }
-
-  /// Work stealing (called by an idle sibling worker): removes up to
-  /// `max_envelopes` dispatchable envelopes of the *oldest* pending
-  /// (vertex, context) run, in FIFO order, and appends them to `out`.
-  /// Returns the number stolen. The thief must execute them in the
-  /// returned order; envelopes left behind are all newer than the ones
-  /// taken, so per-context relative order survives the split. Bucketed
-  /// (merge/stream-opening) envelopes are never stolen.
-  size_t steal_context(std::vector<Envelope>* out, size_t max_envelopes) {
-    MutexLock lock(mu_);
-    if (disp_count_ == 0 || max_envelopes == 0) return 0;
-    // Oldest dispatchable envelope overall: each tenant FIFO is
-    // stamp-ordered, so the minimum over the heads is the global minimum.
-    uint32_t oldest = kNil;
-    for (const TenantQ& tq : tqs_) {
-      if (tq.head == kNil) continue;
-      if (oldest == kNil || slab_[tq.head].stamp < slab_[oldest].stamp) {
-        oldest = tq.head;
-      }
-    }
-    if (oldest == kNil) return 0;
-    const Key key = slab_[oldest].key;
-    const uint32_t tqi = slab_[oldest].tq;
-    size_t stolen = 0;
-    uint32_t n = tqs_[tqi].head;
-    while (n != kNil && stolen < max_envelopes) {
-      const uint32_t next = slab_[n].snext;
-      if (slab_[n].key == key) {
-        out->emplace_back();
-        take(n, &out->back());
-        ++stolen;
-      }
-      n = next;
-    }
-    return stolen;
   }
 
  private:
@@ -191,7 +124,6 @@ class RunQueue {
   struct Node {
     Envelope env;
     Key key{0, 0};
-    uint64_t stamp = 0;  ///< push order, for oldest-context steal choice
     bool dispatchable = false;
     uint32_t tq = 0;                      ///< index into tqs_ (dispatchable)
     uint32_t gprev = kNil, gnext = kNil;  ///< global FIFO links
@@ -205,7 +137,7 @@ class RunQueue {
   /// Index of tenant `t`'s dispatchable FIFO, created on first use. Linear
   /// scan: a worker serves a handful of tenants, and the scan only runs on
   /// the push path.
-  uint32_t tenant_queue(TenantId t) DPS_REQUIRES(mu_) {
+  uint32_t tenant_queue(TenantId t) {
     for (uint32_t i = 0; i < tqs_.size(); ++i) {
       if (tqs_[i].tenant == t) return i;
     }
@@ -213,7 +145,7 @@ class RunQueue {
     return static_cast<uint32_t>(tqs_.size() - 1);
   }
 
-  uint32_t alloc() DPS_REQUIRES(mu_) {
+  uint32_t alloc() {
     if (free_head_ != kNil) {
       const uint32_t n = free_head_;
       free_head_ = slab_[n].gnext;
@@ -225,7 +157,7 @@ class RunQueue {
 
   void link_back(uint32_t n, uint32_t* head, uint32_t* tail,
                  uint32_t Node::* prev, uint32_t Node::* next)
-      DPS_REQUIRES(mu_) {
+      {
     Node& node = slab_[n];
     node.*prev = *tail;
     node.*next = kNil;
@@ -239,7 +171,7 @@ class RunQueue {
 
   void unlink(uint32_t n, uint32_t* head, uint32_t* tail,
               uint32_t Node::* prev, uint32_t Node::* next)
-      DPS_REQUIRES(mu_) {
+      {
     Node& node = slab_[n];
     if (node.*prev != kNil) {
       slab_[node.*prev].*next = node.*next;
@@ -255,7 +187,7 @@ class RunQueue {
 
   /// Removes node `n` from all lists, moves its envelope to `out`, and
   /// recycles the slot. Returns false when n == kNil (empty list).
-  bool take(uint32_t n, Envelope* out) DPS_REQUIRES(mu_) {
+  bool take(uint32_t n, Envelope* out) {
     if (n == kNil) return false;
     Node& node = slab_[n];
     unlink(n, &global_head_, &global_tail_, &Node::gprev, &Node::gnext);
@@ -277,17 +209,15 @@ class RunQueue {
     return true;
   }
 
-  mutable Mutex mu_;
-  std::vector<Node> slab_ DPS_GUARDED_BY(mu_);
-  std::unordered_map<Key, Bucket, KeyHash> buckets_ DPS_GUARDED_BY(mu_);
-  std::vector<TenantQ> tqs_ DPS_GUARDED_BY(mu_);  ///< per-tenant FIFOs
-  size_t rr_next_ DPS_GUARDED_BY(mu_) = 0;   ///< round-robin cursor
-  size_t disp_count_ DPS_GUARDED_BY(mu_) = 0;  ///< dispatchable pending
-  uint64_t next_stamp_ DPS_GUARDED_BY(mu_) = 0;
-  uint32_t global_head_ DPS_GUARDED_BY(mu_) = kNil;
-  uint32_t global_tail_ DPS_GUARDED_BY(mu_) = kNil;
-  uint32_t free_head_ DPS_GUARDED_BY(mu_) = kNil;
-  size_t size_ DPS_GUARDED_BY(mu_) = 0;
+  std::vector<Node> slab_;
+  std::unordered_map<Key, Bucket, KeyHash> buckets_;
+  std::vector<TenantQ> tqs_;  ///< per-tenant FIFOs
+  size_t rr_next_ = 0;        ///< round-robin cursor
+  size_t disp_count_ = 0;     ///< dispatchable pending
+  uint32_t global_head_ = kNil;
+  uint32_t global_tail_ = kNil;
+  uint32_t free_head_ = kNil;
+  size_t size_ = 0;
 };
 
 }  // namespace dps

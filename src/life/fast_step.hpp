@@ -65,8 +65,7 @@ void lut_step_borders(const Band& band, const std::vector<uint8_t>& above,
 /// The active Life kernel. Registers the "naive" and "lut" backends on
 /// first use (static-init-order safe: callers can never observe an empty
 /// registry), then forwards to LifeBackends::active(). "lut" is the
-/// registration default; override via ClusterConfig::leaf_backend, env
-/// DPS_LEAF, or LifeBackends::select().
+/// registration default; LifeBackends::select() overrides it.
 const LifeKernel& active_life_kernel();
 
 /// Name of the kernel active_life_kernel() returns (for bench/service

@@ -134,11 +134,11 @@ struct LeafStepInterval {
     }
   }
 };
-#define DPS_LEAF_INTERVAL(kernel, rows, cols) \
+#define LEAF_STEP_INTERVAL(kernel, rows, cols) \
   LeafStepInterval leaf_interval_((kernel), (rows), (cols))
 #else
-#define DPS_LEAF_INTERVAL(kernel, rows, cols) \
-  do {                                        \
+#define LEAF_STEP_INTERVAL(kernel, rows, cols) \
+  do {                                         \
   } while (false)
 #endif
 
@@ -149,7 +149,7 @@ Band step_band(const Band& band, const std::vector<uint8_t>& above,
   const LifeKernel& k = active_life_kernel();
   leaf_cells_counter().inc(static_cast<uint64_t>(band.rows()) *
                            static_cast<uint64_t>(band.cols()));
-  DPS_LEAF_INTERVAL(k, band.rows(), band.cols());
+  LEAF_STEP_INTERVAL(k, band.rows(), band.cols());
   return k.step_band(band, above, below);
 }
 
@@ -158,7 +158,7 @@ Band step_interior(const Band& band) {
   const int interior_rows = band.rows() > 2 ? band.rows() - 2 : 0;
   leaf_cells_counter().inc(static_cast<uint64_t>(interior_rows) *
                            static_cast<uint64_t>(band.cols()));
-  DPS_LEAF_INTERVAL(k, band.rows(), band.cols());
+  LEAF_STEP_INTERVAL(k, band.rows(), band.cols());
   return k.step_interior(band);
 }
 
@@ -168,7 +168,7 @@ void step_borders(const Band& band, const std::vector<uint8_t>& above,
   const int border_rows = band.rows() > 1 ? 2 : band.rows();
   leaf_cells_counter().inc(static_cast<uint64_t>(border_rows) *
                            static_cast<uint64_t>(band.cols()));
-  DPS_LEAF_INTERVAL(k, band.rows(), band.cols());
+  LEAF_STEP_INTERVAL(k, band.rows(), band.cols());
   k.step_borders(band, above, below, out);
 }
 

@@ -53,8 +53,8 @@ class Band {
 /// Next state of the whole band given its neighbours' adjacent border rows
 /// (empty vectors mean a dead border — the world edge). Dispatches to the
 /// active leaf backend (life/fast_step.hpp; "lut" by default, selectable
-/// via ClusterConfig::leaf_backend / env DPS_LEAF) and counts the stepped
-/// cells on the always-on `dps.leaf.cells` metric.
+/// via LifeBackends::select()) and counts the stepped cells on the
+/// always-on `dps.leaf.cells` metric.
 Band step_band(const Band& band, const std::vector<uint8_t>& above,
                const std::vector<uint8_t>& below);
 

@@ -40,8 +40,6 @@ const char* to_string(EventKind kind) noexcept {
     case EventKind::kSvcDeadline: return "svc_deadline";
     case EventKind::kMcastSend: return "mcast_send";
     case EventKind::kMcastDeliver: return "mcast_deliver";
-    case EventKind::kFlowWindow: return "flow_window";
-    case EventKind::kSteal: return "steal";
     case EventKind::kShmBatch: return "shm_batch";
     case EventKind::kLeafStep: return "leaf_step";
   }

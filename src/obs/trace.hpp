@@ -73,18 +73,16 @@ enum class EventKind : uint16_t {
   kSvcShed = 28,        ///< service call shed with kBackpressure (a=tenant)
   kSvcDeadline = 29,    ///< call retired by deadline expiry (a=tenant)
 
-  // Multicast collectives + adaptive flow control (docs/PERFORMANCE.md).
+  // Multicast collectives (docs/PERFORMANCE.md).
   kMcastSend = 30,     ///< collective posted (a=target vertex, b=K,
                        ///< c=remote dests, d=encoded body bytes)
   // 31 was kMcastForward (tree/ring relay hops, removed); not reused.
   kMcastDeliver = 32,  ///< local deliveries of one frame (a=target vertex,
                        ///< b=delivered, c=header entries, d=body bytes)
-  kFlowWindow = 33,    ///< adaptive window changed (a=flow context,
-                       ///< b=new window, c=receiver depth, d=in_flight)
+  // 33 was kFlowWindow (adaptive flow window, removed); not reused.
+  // 34 was kSteal (work stealing, removed); not reused.
 
-  // Intra-node fast path: work stealing + shared-memory fabric.
-  kSteal = 34,     ///< idle worker stole queued work (a=collection,
-                   ///< b=victim index, c=thief index, d=envelopes)
+  // Shared-memory fabric.
   kShmBatch = 35,  ///< shm inbox delivered one drained batch (a=frames,
                    ///< b=ring bytes)
 

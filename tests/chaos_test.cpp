@@ -122,7 +122,7 @@ TEST(Chaos, RetransmitsAccountForInjectedDrops) {
     obs::TraceQuery q(obs::Trace::instance().collect());
     obs::Trace::instance().set_enabled(false);
     obs::Trace::instance().reset();
-    // The metric is bumped at the same site as the controller counter and
+    // The metric is bumped at the same site as ReliableFabric's counter and
     // sampled later, so it bounds both the counter and the injected drops.
     EXPECT_GE(snap.counter("dps.fabric.retransmits"), retrans);
     EXPECT_GE(snap.counter("dps.fabric.retransmits"), drops);
@@ -626,7 +626,8 @@ TEST(Chaos, McastPartitionHealDeliversExactlyOnce) {
 // the controller reports its sender like a torn stream (logged, since fault
 // tolerance is off) and keeps delivering. Over TCP and shm the bytes cross a
 // transport thread that has nobody to rethrow to; over inproc they would
-// otherwise surface inside the sender's own send().
+// otherwise surface inside the sender's own send(). The inputs are a junk
+// envelope and kFlowAck frames one short and one past the 12-byte format.
 TEST(Chaos, MalformedFrameIsReportedAndTheNodeKeepsServing) {
   std::vector<std::pair<const char*, ClusterConfig>> configs = {
       {"inproc", ClusterConfig::inproc(2)}, {"tcp", ClusterConfig::tcp(2)}};
@@ -640,6 +641,12 @@ TEST(Chaos, MalformedFrameIsReportedAndTheNodeKeepsServing) {
     std::vector<std::byte> junk(5, std::byte{0x7f});
     EXPECT_NO_THROW(
         cluster.fabric().send(0, 1, FrameKind::kEnvelope, std::move(junk)));
+    for (const size_t len : {size_t{3}, size_t{16}}) {
+      std::vector<std::byte> ack(len, std::byte{0x7f});
+      EXPECT_NO_THROW(
+          cluster.fabric().send(0, 1, FrameKind::kFlowAck, std::move(ack)))
+          << len << "-byte kFlowAck";
+    }
     // The call's envelopes follow the junk frame down the same 0 -> 1 link.
     auto result =
         token_cast<StringToken>(graph->call(new StringToken(kPhrase)));

@@ -347,18 +347,18 @@ TEST(Mcast, EncodeCountStaysOnePerCollective) {
 }
 
 // The bcast app maps its master collection onto a single thread, so the
-// split and the merge share one worker. The adaptive window starts at 4 —
-// below the fan-out — and a collective that parked that worker in
-// flow_acquire would deadlock: the only releases come from the colocated
-// merge queued behind it. The collective window floor must keep it live,
-// over both fabrics (the huge static default window used to mask this).
-TEST(Mcast, AdaptiveWindowBelowFanoutCannotStarveSharedSplitMergeWorker) {
-  constexpr int kFanout = 9;  // > AdaptiveWindowConfig initial window (4)
+// split and the merge share one worker. A flow window of 4 sits below the
+// fan-out, and a collective that parked that worker in flow_acquire would
+// deadlock: the only releases come from the colocated merge queued behind
+// it. The collective window floor must keep it live, over both fabrics
+// (the huge static default window masks this).
+TEST(Mcast, WindowBelowFanoutCannotStarveSharedSplitMergeWorker) {
+  constexpr int kFanout = 9;  // > the flow window (4)
   for (const bool tcp : {false, true}) {
     SCOPED_TRACE(tcp ? "tcp" : "inproc");
     ClusterConfig cfg =
         tcp ? ClusterConfig::tcp(3) : ClusterConfig::inproc(3);
-    cfg.adaptive_flow = true;
+    cfg.flow_window = 4;
     Cluster cluster(cfg);
     Application app(cluster, "bcast");
     auto graph = dps_mcast::build_bcast_graph(app, kFanout);

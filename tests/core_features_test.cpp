@@ -605,22 +605,85 @@ class LeastLoadedRoute : public Route<FWorkThread, NumToken> {
   DPS_IDENTIFY_ROUTE(LeastLoadedRoute);
 };
 
+/// Parks the load-balanced leaves until the split has routed its tokens,
+/// so the queue depths the route reads build up instead of draining as
+/// fast as they fill.
+struct LeafGate {
+  Mutex mu;
+  CondVar cv;
+  bool open DPS_GUARDED_BY(mu) = false;
+
+  void release() {
+    {
+      MutexLock lock(mu);
+      open = true;
+    }
+    cv.notify_all();
+  }
+  void wait() {
+    MutexLock lock(mu);
+    cv.wait(mu, [this]() DPS_REQUIRES(mu) { return open; });
+  }
+  void reset() {
+    MutexLock lock(mu);
+    open = false;
+  }
+};
+LeafGate g_leaf_gate;
+
+// Opens the gate after its last post: every token but the held-back final
+// one is routed while each worker holds at most one token in execution.
+class GateOpeningRangeSplit
+    : public SplitOperation<FMainThread, TV1(RangeToken), TV1(NumToken)> {
+ public:
+  void execute(RangeToken* in) override {
+    for (int i = in->begin; i < in->end; ++i) {
+      postToken(new NumToken(i, i));
+    }
+    g_leaf_gate.release();
+  }
+  DPS_IDENTIFY_OPERATION(GateOpeningRangeSplit);
+};
+
+class GatedSquareLeaf
+    : public LeafOperation<FWorkThread, TV1(NumToken), TV1(NumToken)> {
+ public:
+  void execute(NumToken* in) override {
+    g_leaf_gate.wait();
+    postToken(new NumToken(in->value * in->value, in->index));
+  }
+  DPS_IDENTIFY_OPERATION(GatedSquareLeaf);
+};
+
 TEST(LoadBalancing, LeastLoadedRouteCompletesAndSpreads) {
-  Cluster cluster(ClusterConfig::inproc(4));
+  constexpr int kTokens = 400;
+  g_leaf_gate.reset();
+  // One worker on each of nodes 0-3 and the split/merge on node 4, so a
+  // worker node's dispatch count is exactly the number of leaves it ran.
+  Cluster cluster(ClusterConfig::inproc(5));
   Application app(cluster, "lb");
   auto mains = app.thread_collection<FMainThread>("main");
-  mains->map("node0");
+  mains->map("node4");
   auto workers = app.thread_collection<FWorkThread>("work");
   workers->map("node0 node1 node2 node3");
-  FlowgraphBuilder b = FlowgraphNode<RangeSplit, FMainRangeRoute>(mains) >>
-                       FlowgraphNode<SquareLeaf, LeastLoadedRoute>(workers) >>
-                       FlowgraphNode<SumMerge, FMainNumRoute>(mains);
+  FlowgraphBuilder b =
+      FlowgraphNode<GateOpeningRangeSplit, FMainRangeRoute>(mains) >>
+      FlowgraphNode<GatedSquareLeaf, LeastLoadedRoute>(workers) >>
+      FlowgraphNode<SumMerge, FMainNumRoute>(mains);
   auto graph = app.build_graph(b, "lb");
   ActorScope scope(cluster.domain(), "main");
-  auto result = token_cast<SumToken>(graph->call(new RangeToken(0, 400)));
+  auto result = token_cast<SumToken>(graph->call(new RangeToken(0, kTokens)));
   ASSERT_TRUE(result);
-  EXPECT_EQ(result->sum, sum_of_squares(0, 400));
-  EXPECT_EQ(result->count, 400);
+  EXPECT_EQ(result->sum, sum_of_squares(0, kTokens));
+  EXPECT_EQ(result->count, kTokens);
+  uint64_t total = 0;
+  for (NodeId node = 0; node < 4; ++node) {
+    const uint64_t ran = cluster.controller(node).dispatched();
+    EXPECT_GE(ran, static_cast<uint64_t>(kTokens / 8))
+        << "worker " << node << " ran too few of the routed tokens";
+    total += ran;
+  }
+  EXPECT_EQ(total, static_cast<uint64_t>(kTokens));
 }
 
 }  // namespace

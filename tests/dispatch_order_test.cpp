@@ -5,9 +5,6 @@
 // behind a wall of non-matching envelopes is still found in O(1).
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
-#include <utility>
 #include <vector>
 
 #include "core/application.hpp"
@@ -126,7 +123,7 @@ TEST(DispatchOrder, RunQueueRoundRobinSkipsDrainedTenants) {
 
 TEST(DispatchOrder, RunQueuePopFrontMaintainsTenantFifos) {
   RunQueue q;
-  // Stealing a dispatchable envelope through the global FIFO must unlink
+  // Taking a dispatchable envelope through the global FIFO must unlink
   // it from its tenant queue as well.
   q.push(pending_for(5, 1), true);
   q.push(pending_for(6, 2), true);
@@ -155,150 +152,6 @@ TEST(DispatchOrder, RunQueueSlotsRecycle) {
       EXPECT_EQ(out.frames.back().seq, i);
     }
     EXPECT_TRUE(q.empty());
-  }
-}
-
-// --- work stealing: queue-level contracts ----------------------------------
-
-TEST(Steal, TakesOldestContextAsFifoPrefix) {
-  RunQueue q;
-  // Two dispatchable (vertex, context) runs interleaved in arrival order.
-  for (uint32_t i = 0; i < 5; ++i) {
-    Envelope a = pending(1, 10, i);
-    Envelope b = pending(2, 20, i);
-    q.push(std::move(a), true);
-    q.push(std::move(b), true);
-  }
-  std::vector<Envelope> loot;
-  EXPECT_EQ(q.steal_context(&loot, 3), 3u);
-  ASSERT_EQ(loot.size(), 3u);
-  for (uint32_t i = 0; i < 3; ++i) {
-    // The oldest run is (1, 10); the loot is its FIFO prefix, in order.
-    EXPECT_EQ(loot[i].vertex, 1u);
-    EXPECT_EQ(loot[i].frames.back().seq, i);
-  }
-  // Everything left behind is strictly newer than the stolen prefix, and
-  // the victim's own dispatch order is otherwise untouched.
-  Envelope out;
-  std::vector<std::pair<VertexId, uint32_t>> rest;
-  while (q.pop_dispatchable(&out)) {
-    rest.emplace_back(out.vertex, out.frames.back().seq);
-  }
-  EXPECT_EQ(rest, (std::vector<std::pair<VertexId, uint32_t>>{
-                      {2, 0}, {2, 1}, {2, 2}, {1, 3}, {2, 3}, {1, 4}, {2, 4}}));
-  EXPECT_TRUE(q.empty());
-}
-
-TEST(Steal, NeverTakesBucketedCollectionOpeners) {
-  RunQueue q;
-  // Openers arrive first (older), but only dispatchable work is stealable:
-  // merge/stream claims and their re-entrancy semantics stay victim-local.
-  for (uint32_t i = 0; i < 3; ++i) q.push(pending(1, 10, i), false);
-  q.push(pending(2, 0, 7), true);
-  std::vector<Envelope> loot;
-  EXPECT_EQ(q.steal_context(&loot, 10), 1u);
-  EXPECT_EQ(loot[0].vertex, 2u);
-  EXPECT_EQ(loot[0].frames.back().seq, 7u);
-  Envelope out;
-  for (uint32_t i = 0; i < 3; ++i) {
-    ASSERT_TRUE(q.pop_context(1, 10, &out));
-    EXPECT_EQ(out.frames.back().seq, i) << "openers must stay FIFO";
-  }
-  EXPECT_TRUE(q.empty());
-  loot.clear();
-  EXPECT_EQ(q.steal_context(&loot, 10), 0u) << "nothing dispatchable left";
-}
-
-TEST(Steal, LeavesTenantRoundRobinUntouched) {
-  RunQueue q;
-  // Same shape as RunQueueRoundRobinsAcrossTenants, but a thief takes two
-  // envelopes of tenant 1's (oldest) run first. The rotation over what
-  // remains must be unchanged: 1, 2, 3, 1, 2, 3, ... with FIFO per tenant.
-  for (uint32_t i = 0; i < 4; ++i) q.push(pending_for(1, 100 + i), true);
-  for (uint32_t i = 0; i < 4; ++i) q.push(pending_for(2, 200 + i), true);
-  for (uint32_t i = 0; i < 4; ++i) q.push(pending_for(3, 300 + i), true);
-  std::vector<Envelope> loot;
-  EXPECT_EQ(q.steal_context(&loot, 2), 2u);
-  EXPECT_EQ(loot[0].frames.back().seq, 100u);
-  EXPECT_EQ(loot[1].frames.back().seq, 101u);
-  EXPECT_EQ(loot[0].tenant, 1u) << "oldest run belongs to tenant 1";
-  Envelope out;
-  std::vector<uint32_t> order;
-  while (q.pop_dispatchable(&out)) order.push_back(out.frames.back().seq);
-  EXPECT_EQ(order, (std::vector<uint32_t>{102, 200, 300, 103, 201, 301, 202,
-                                          302, 203, 303}));
-}
-
-TEST(Steal, AdversarialInterleavingKeepsPerConsumerFifoAndExactlyOnce) {
-  // One owner thread pushes and pops; one thief steals concurrently with a
-  // hostile cadence. The stealable contract under concurrency: every
-  // envelope is consumed exactly once, and each consumer individually sees
-  // its share of any one context in ascending (FIFO-prefix) order.
-  RunQueue q;
-  constexpr uint32_t kContexts = 4;
-  constexpr uint32_t kPerContext = 400;
-  std::vector<std::vector<uint32_t>> owner_got(kContexts);
-  std::vector<std::vector<uint32_t>> thief_got(kContexts);
-  std::atomic<bool> done{false};
-  // The owner's progress condition reads only this counter; the thief_got
-  // vectors stay thief-private until the join publishes them.
-  std::atomic<uint64_t> stolen{0};
-  std::thread thief([&] {
-    std::vector<Envelope> loot;
-    while (!done.load(std::memory_order_acquire)) {
-      loot.clear();
-      if (q.steal_context(&loot, 7) == 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      for (Envelope& e : loot) {
-        // One steal batch is a FIFO prefix of ONE context's run.
-        ASSERT_EQ(e.vertex, loot[0].vertex);
-        thief_got[e.vertex - 1].push_back(e.frames.back().seq);
-      }
-      stolen.fetch_add(loot.size(), std::memory_order_release);
-    }
-  });
-  uint32_t next[kContexts] = {0, 0, 0, 0};
-  uint64_t pushed = 0;
-  uint64_t popped = 0;
-  Envelope out;
-  while (popped + stolen.load(std::memory_order_acquire) <
-         static_cast<uint64_t>(kContexts) * kPerContext) {
-    // Push in small rotating bursts so runs of several contexts coexist.
-    for (uint32_t c = 0; c < kContexts && pushed < kContexts * kPerContext;
-         ++c) {
-      for (int b = 0; b < 3 && next[c] < kPerContext; ++b) {
-        q.push(pending(c + 1, (c + 1) * 1000, next[c]++), true);
-        ++pushed;
-      }
-    }
-    if (q.pop_dispatchable(&out)) {
-      owner_got[out.vertex - 1].push_back(out.frames.back().seq);
-      ++popped;
-    }
-  }
-  done.store(true, std::memory_order_release);
-  thief.join();
-  for (uint32_t c = 0; c < kContexts; ++c) {
-    for (const auto* log : {&owner_got[c], &thief_got[c]}) {
-      for (size_t i = 1; i < log->size(); ++i) {
-        ASSERT_LT((*log)[i - 1], (*log)[i])
-            << "consumer-local order of context " << c << " broken";
-      }
-    }
-    // Exactly once: the two logs partition 0..kPerContext-1.
-    std::vector<bool> seen(kPerContext, false);
-    for (const auto* log : {&owner_got[c], &thief_got[c]}) {
-      for (uint32_t s : *log) {
-        ASSERT_LT(s, kPerContext);
-        ASSERT_FALSE(seen[s]) << "seq " << s << " consumed twice";
-        seen[s] = true;
-      }
-    }
-    for (uint32_t s = 0; s < kPerContext; ++s) {
-      ASSERT_TRUE(seen[s]) << "seq " << s << " of context " << c << " lost";
-    }
   }
 }
 
@@ -465,85 +318,6 @@ TEST(DispatchOrder, ConcurrentCollectionsShareOneWorkerWithoutStarvation) {
     ASSERT_TRUE(r) << "call " << i;
     EXPECT_EQ(r->sum, int64_t(counts[i]) * (counts[i] + 1) / 2)
         << "call " << i << " (" << counts[i] << " pings)";
-  }
-}
-
-// --- work stealing: engine-level -------------------------------------------
-
-class DSpinLeaf
-    : public LeafOperation<DWorkThread, TV1(DSeqToken), TV1(DSeqToken)> {
- public:
-  void execute(DSeqToken* in) override {
-    // Enough work per token that the victim is still busy when a hinted
-    // sibling wakes up and looks for something to steal.
-    uint64_t x = static_cast<uint64_t>(in->index) + 1;
-    for (int i = 0; i < 20000; ++i) {
-      x = x * 6364136223846793005ull + 1442695040888963407ull;
-    }
-    static std::atomic<uint64_t> sink;
-    // Relaxed store keeps the spin loop from being optimized away; workers
-    // execute concurrently, so the shared sink must not be a plain volatile.
-    sink.store(x, std::memory_order_relaxed);
-    postToken(new DSeqToken(in->index));
-  }
-  DPS_IDENTIFY_OPERATION(DSpinLeaf);
-};
-
-class DCountMerge : public MergeOperation<DMainThread, TV1(DSeqToken),
-                                          TV1(DOrderToken)> {
- public:
-  void execute(DSeqToken* first) override {
-    int64_t sum = first->index;
-    int n = 1;
-    while (auto t = waitForNextToken()) {
-      sum += token_cast<DSeqToken>(t)->index;
-      ++n;
-    }
-    postToken(new DOrderToken(static_cast<int>(sum), n));
-  }
-  DPS_IDENTIFY_OPERATION(DCountMerge);
-};
-
-DPS_ROUTE(DMainSeqRoute, DMainThread, DSeqToken, 0);
-
-/// An imbalanced pipeline — every leaf token routed to worker 0 of four —
-/// with ClusterConfig::work_stealing on: siblings must actually steal, and
-/// the results must be exactly the same as without stealing.
-TEST(Steal, ImbalancedPipelineStealsAndStaysCorrect) {
-  for (const bool stealing : {false, true}) {
-    ClusterConfig cfg = ClusterConfig::inproc(1);
-    cfg.work_stealing = stealing;
-    Cluster cluster(cfg);
-    Application app(cluster, "steal");
-    auto mains = app.thread_collection<DMainThread>("s-main");
-    mains->map("node0");
-    auto collectors = app.thread_collection<DMainThread>("s-coll");
-    collectors->map("node0");
-    auto workers = app.thread_collection<DWorkThread>("s-work");
-    workers->map("node0 node0 node0 node0");
-    auto graph = app.build_graph(
-        FlowgraphNode<DSplit, DMainStartRoute>(mains) >>
-            FlowgraphNode<DSpinLeaf, DWorkSeqRoute>(workers) >>
-            FlowgraphNode<DCountMerge, DMainSeqRoute>(collectors),
-        "steal");
-    ActorScope scope(cluster.domain(), "main");
-    constexpr int kTokens = 96;
-    for (int round = 0; round < 3; ++round) {
-      auto r = token_cast<DOrderToken>(graph->call(new DStartToken(kTokens)));
-      ASSERT_TRUE(r);
-      EXPECT_EQ(r->received, kTokens);
-      EXPECT_EQ(r->in_order, kTokens * (kTokens - 1) / 2)
-          << "token values must survive stealing untouched";
-    }
-    if (stealing) {
-      EXPECT_GT(cluster.controller(0).steals(), 0u)
-          << "hinted siblings never stole from the overloaded worker";
-      EXPECT_GE(cluster.controller(0).stolen_envelopes(),
-                cluster.controller(0).steals());
-    } else {
-      EXPECT_EQ(cluster.controller(0).steals(), 0u)
-          << "stealing must stay off unless opted into";
-    }
   }
 }
 

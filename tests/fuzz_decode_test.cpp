@@ -264,6 +264,89 @@ TEST(FuzzDecode, TraceHugeEventCountRejected) {
   EXPECT_THROW((void)obs::decode_trace(r), Error);
 }
 
+// --- kFlowAck -----------------------------------------------------------------
+//
+// A flow ack is exactly [u64 context | u32 n]. Whatever a peer sends as a
+// kFlowAck either decodes to a value that re-encodes to the same bytes, or
+// raises Error(kProtocol).
+
+std::vector<std::byte> flow_ack_bytes(ContextId context, uint32_t n) {
+  Writer w;
+  encode_flow_ack(w, FlowAck{context, n});
+  return w.take();
+}
+
+/// Checks the property on one payload; returns whether it decoded.
+bool flow_ack_round_trips_or_rejects(const std::vector<std::byte>& bytes) {
+  Reader r(bytes);
+  FlowAck ack;
+  try {
+    ack = decode_flow_ack(r);
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::kProtocol) << bytes.size() << " bytes";
+    return false;
+  }
+  Writer w;
+  encode_flow_ack(w, ack);
+  EXPECT_EQ(w.bytes(), bytes) << "decoded ack re-encodes differently";
+  return true;
+}
+
+TEST(FuzzDecode, FlowAckRandomBytesRoundTripOrReject) {
+  const uint32_t seed = dps_testing::effective_seed(0xf10aac01);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (int round = 0; round < 500; ++round) {
+    std::vector<std::byte> bytes(rng() % 25);
+    for (auto& b : bytes) b = static_cast<std::byte>(rng() & 0xff);
+    EXPECT_EQ(flow_ack_round_trips_or_rejects(bytes),
+              bytes.size() == kFlowAckSize)
+        << "round " << round << ", " << bytes.size() << " bytes";
+  }
+}
+
+TEST(FuzzDecode, FlowAckRejectsTruncationsAndExtensions) {
+  const std::vector<std::byte> full = flow_ack_bytes(0x0102030405060708, 9);
+  ASSERT_EQ(full.size(), kFlowAckSize);
+  EXPECT_TRUE(flow_ack_round_trips_or_rejects(full));
+  for (size_t len = 0; len < kFlowAckSize; ++len) {
+    EXPECT_FALSE(flow_ack_round_trips_or_rejects(std::vector<std::byte>(
+        full.begin(), full.begin() + static_cast<ptrdiff_t>(len))))
+        << "len=" << len;
+  }
+  for (size_t extra = 1; extra <= 8; ++extra) {
+    std::vector<std::byte> longer = full;
+    longer.resize(kFlowAckSize + extra, std::byte{0x5a});
+    EXPECT_FALSE(flow_ack_round_trips_or_rejects(longer))
+        << "len=" << longer.size();
+  }
+  // The retired layout carried a u32 receiver-depth trailer.
+  Writer old;
+  old.put<ContextId>(0x0102030405060708);
+  old.put<uint32_t>(9);
+  old.put<uint32_t>(3);
+  EXPECT_FALSE(flow_ack_round_trips_or_rejects(old.bytes()));
+}
+
+TEST(FuzzDecode, FlowAckMutatedFramesRoundTripOrReject) {
+  const uint32_t seed = dps_testing::effective_seed(0xf10aacf1);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (int round = 0; round < 500; ++round) {
+    const ContextId ctx = (static_cast<uint64_t>(rng()) << 32) | rng();
+    std::vector<std::byte> bytes = flow_ack_bytes(ctx, rng());
+    const int flips = 1 + static_cast<int>(rng() % 4);
+    for (int f = 0; f < flips; ++f) {
+      const size_t pos = rng() % bytes.size();
+      bytes[pos] ^= static_cast<std::byte>(1u << (rng() % 8));
+    }
+    if (rng() % 4 == 0) bytes.resize(rng() % (2 * kFlowAckSize));
+    EXPECT_EQ(flow_ack_round_trips_or_rejects(bytes),
+              bytes.size() == kFlowAckSize)
+        << "round " << round;
+  }
+}
+
 // --- ReliableFabric receive side ---------------------------------------------
 //
 // Whatever a peer sends as kReliable / kAck / kHeartbeat reaches the

@@ -1,7 +1,7 @@
 // LifeFast property suite: the LUT Life kernel (life/fast_step.hpp) must be
 // bit-identical to the naive reference on every input shape, the 512-entry
 // rule table must encode exactly Conway's rule, and the backend seam
-// (compute/backend.hpp) must honour its selection precedence.
+// (compute/backend.hpp) must honour select() over the registration default.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,14 +18,11 @@
 namespace dps::life {
 namespace {
 
-/// Restores the process-global backend selection state on scope exit so a
-/// test can never leak a pinned kernel into later suites.
+/// Restores the process-global backend selection on scope exit so a test
+/// can never leak a pinned kernel into later suites.
 class SelectionGuard {
  public:
-  ~SelectionGuard() {
-    compute::set_default_backend("");
-    LifeBackends::reset_selection();
-  }
+  ~SelectionGuard() { LifeBackends::reset_selection(); }
 };
 
 Band random_band(int rows, int cols, std::mt19937& rng, double density = 0.35) {
@@ -187,21 +184,10 @@ TEST(LifeFast, BackendSelectionPrecedence) {
   ASSERT_NE(std::find(names.begin(), names.end(), "lut"), names.end());
 
   // Registration default: lut.
-  compute::set_default_backend("");
   LifeBackends::reset_selection();
   EXPECT_EQ(LifeBackends::active_name(), "lut");
 
-  // Process-wide default (what ClusterConfig::leaf_backend feeds).
-  compute::set_default_backend("naive");
-  EXPECT_EQ(LifeBackends::active_name(), "naive");
-
-  // Unknown process-wide name falls back to the registration default
-  // rather than breaking the kernel family.
-  compute::set_default_backend("no-such-kernel");
-  EXPECT_EQ(LifeBackends::active_name(), "lut");
-
-  // Explicit select() outranks the process default.
-  compute::set_default_backend("lut");
+  // Explicit select() outranks the registration default.
   LifeBackends::select("naive");
   EXPECT_EQ(LifeBackends::active_name(), "naive");
   EXPECT_EQ(active_life_kernel().id, 0);
