@@ -96,7 +96,8 @@ PROTOCOLS = [
     },
     {
         "name": "buffer-pool",
-        "acquire": {"acquire": None},      # value-style: tracks the variable
+        "acquire": {"acquire": None,       # value-style: tracks the variable
+                    "acquire_sized": None},
         "acquire_recv": "BufferPool",      # only when the receiver resolves
         "release": {"release": 0},
         "transfer_releases": True,         # passing the buffer on = handoff

@@ -95,11 +95,10 @@ class RingForward
  public:
   void execute(RingBlockToken* in) override {
     thread()->forwarded_bytes += static_cast<int64_t>(in->payload.size());
-    auto* out = new RingBlockToken();
-    out->hop = in->hop.get() + 1;
-    out->index = in->index.get();
-    out->payload = in->payload;  // forward the bytes
-    postToken(out);
+    // Forward the block itself: a leaf may repost an input no other
+    // envelope shares, so the bytes are not copied.
+    in->hop = in->hop.get() + 1;
+    postToken(in);
   }
   DPS_IDENTIFY_OPERATION(RingForward);
 };

@@ -332,6 +332,16 @@ class Controller::ExecCtx : public detail::OpServices {
 
   void post(Ptr<Token> token) override {
     DPS_CHECK(token.get() != nullptr, "postToken(nullptr)");
+    // A leaf may repost its input instead of copying it, but not a
+    // multicast input, whose receivers on this node share the object.
+    // env_ keeps its reference, so the input outlives a repost that raises.
+    if (kind_ == OpKind::kLeaf && env_.shared &&
+        token.get() == env_.token.get()) {
+      raise(Errc::kState,
+            "leaf reposted its input token '" + token->typeInfo().name +
+                "', which a multicast delivered; multicast inputs are "
+                "read-only, post a copy instead");
+    }
     const Flowgraph::Vertex& v = graph_.vertex(vertex_);
     const uint64_t tid = token->typeInfo().id;
 
@@ -450,8 +460,10 @@ class Controller::ExecCtx : public detail::OpServices {
     flush_held();
 
     // One envelope per destination shares the frame stack and the token
-    // object; destinations receive it read-only. The last destination is
-    // held back (pre-routed) so split finalization can stamp the total.
+    // object; destinations receive it read-only (Envelope::shared). The
+    // last destination is held back (pre-routed) so split finalization can
+    // stamp the total; on another node it arrives as a plain envelope with
+    // an object of its own.
     Envelope base;
     base.app = env_.app;
     base.graph = env_.graph;
@@ -486,6 +498,7 @@ class Controller::ExecCtx : public detail::OpServices {
       last.frames.back().seq = posted_;
       ++posted_;
       last.token = base.token;
+      last.shared = true;
       held_ = std::move(last);
       held_routed_ = true;  // thread chosen here, not by the route
     }
@@ -556,6 +569,7 @@ class Controller::ExecCtx : public detail::OpServices {
       env.frames = out_frames_;
       env.frames.back().seq = e.seq;
       env.token = base.token;
+      env.shared = true;
       controller_.send(std::move(env));
     }
     if (remote.empty()) return;
@@ -1112,7 +1126,7 @@ void Controller::send_envelope(NodeId target, FrameKind kind,
 void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
   // Non-blocking by contract: enqueue, update accounts, notify.
   DeliveryBatch batch(*this);
-  for (const NodeMessage& msg : msgs) {
+  for (NodeMessage& msg : msgs) {
     if (msg.kind == FrameKind::kPeerDown) {
       // Transport-level death report (torn TCP stream, or a reliability
       // frame that did not decode).
@@ -1144,6 +1158,12 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
                                 ") from node " + std::to_string(msg.from) +
                                 ": " + e.what());
     }
+    // A large frame no token adopted goes back to the pool. Small ones are
+    // freed: returning ~1 kB frames as well costs more in the pool's lock
+    // and free-list scan than the allocations it saves.
+    if (msg.payload.capacity() >= kPooledBlockBytes) {
+      BufferPool::instance().release(std::move(msg.payload));
+    }
   }
   // ~DeliveryBatch flushes the grouped envelopes.
 }
@@ -1159,8 +1179,10 @@ void Controller::peer_failed(NodeId peer, const std::string& reason) {
   }
 }
 
-void Controller::handle_frame(const NodeMessage& msg, DeliveryBatch& batch) {
-  Reader r(msg.payload.data(), msg.payload.size());
+void Controller::handle_frame(NodeMessage& msg, DeliveryBatch& batch) {
+  // The one reader every token-bearing frame decodes through: a large
+  // Buffer<T> at the frame's tail takes the frame instead of a copy.
+  Reader r = Reader::adoptable(msg.payload);
   switch (msg.kind) {
     case FrameKind::kEnvelope:
       batch.add(Envelope::decode(r));
@@ -1171,7 +1193,7 @@ void Controller::handle_frame(const NodeMessage& msg, DeliveryBatch& batch) {
       break;
     }
     case FrameKind::kMcastEnvelope:
-      handle_mcast(msg, batch);
+      handle_mcast(msg.from, r, batch);
       break;
     case FrameKind::kCallReply: {
       Envelope env = Envelope::decode(r);
@@ -1185,23 +1207,24 @@ void Controller::handle_frame(const NodeMessage& msg, DeliveryBatch& batch) {
   }
 }
 
-void Controller::handle_mcast(const NodeMessage& msg, DeliveryBatch& batch) {
-  Reader r(msg.payload.data(), msg.payload.size());
+void Controller::handle_mcast(NodeId from, Reader& r, DeliveryBatch& batch) {
   const std::vector<McastEntry> entries = decode_mcast_header(r);
   // Fan-out is flat: the poster sends each node only that node's entries,
   // so an entry for another node means a corrupt or foreign frame.
   for (const McastEntry& e : entries) {
     if (e.node != self_) {
       raise(Errc::kProtocol,
-            "multicast frame from node " + std::to_string(msg.from) +
+            "multicast frame from node " + std::to_string(from) +
                 " lists a destination on node " + std::to_string(e.node));
     }
   }
+  [[maybe_unused]] const size_t body_bytes = r.remaining();
   Envelope base = Envelope::decode(r);
   if (base.frames.empty()) {
     raise(Errc::kProtocol, "multicast envelope without a split frame");
   }
   // Every entry becomes an envelope copy sharing one decode of the token.
+  base.shared = true;
   for (const McastEntry& e : entries) {
     Envelope env = base;  // token pointer shared, not re-decoded
     env.thread = static_cast<ThreadIndex>(e.thread);
@@ -1210,9 +1233,9 @@ void Controller::handle_mcast(const NodeMessage& msg, DeliveryBatch& batch) {
   }
 #ifdef DPS_TRACE
   if (!entries.empty() && obs::tracing_active()) {
-    obs::Trace::instance().record(
-        obs::EventKind::kMcastDeliver, self_, base.vertex, entries.size(),
-        entries.size(), msg.payload.size() - mcast_header_size(entries.size()));
+    obs::Trace::instance().record(obs::EventKind::kMcastDeliver, self_,
+                                  base.vertex, entries.size(), entries.size(),
+                                  body_bytes);
     static obs::Counter& deliveries =
         obs::Metrics::instance().counter("dps.mcast.deliveries");
     deliveries.inc(entries.size());

@@ -188,12 +188,13 @@ class Controller {
   /// Encodes `env` into one exact-size pooled buffer and ships it.
   void send_envelope(NodeId target, FrameKind kind, const Envelope& env);
   /// Decodes one engine frame into `batch`; raises Error on a malformed
-  /// frame.
-  void handle_frame(const NodeMessage& msg, DeliveryBatch& batch);
-  /// kMcastEnvelope arrival: decode the body once and deliver every entry,
-  /// the token pointer shared between the co-located receivers. An entry
-  /// for another node raises Error(kProtocol).
-  void handle_mcast(const NodeMessage& msg, DeliveryBatch& batch);
+  /// frame. A decoded token may adopt `msg.payload`, leaving it empty.
+  void handle_frame(NodeMessage& msg, DeliveryBatch& batch);
+  /// kMcastEnvelope arrival from `from`, read through handle_frame's
+  /// reader: decode the body once and deliver every entry, the token
+  /// pointer shared between the co-located receivers. An entry for another
+  /// node raises Error(kProtocol).
+  void handle_mcast(NodeId from, Reader& r, DeliveryBatch& batch);
   /// A peer's channel failed or it sent a frame that does not decode:
   /// under fault tolerance the node is declared down, otherwise the reason
   /// is logged as a protocol error.

@@ -1,5 +1,7 @@
 #include "core/envelope.hpp"
 
+#include <string>
+
 #include "util/error.hpp"
 
 namespace dps {
@@ -44,6 +46,10 @@ Envelope Envelope::decode(Reader& r) {
   e.frames.resize(n);
   for (uint32_t i = 0; i < n; ++i) e.frames[i] = r.get<SplitFrame>();
   e.token = deserialize_token(r);
+  if (!r.at_end()) {
+    raise(Errc::kProtocol, std::to_string(r.remaining()) +
+                               " trailing bytes after an envelope");
+  }
   return e;
 }
 

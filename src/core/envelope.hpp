@@ -70,12 +70,18 @@ struct Envelope {
   TenantId tenant = kNoTenant;  ///< traffic class of the originating call
   std::vector<SplitFrame> frames;
   Ptr<Token> token;
+  /// The token came from a multicast, whose receivers on one node share
+  /// the object, so its receiver may not repost it. Kept in memory only;
+  /// encode() does not write it.
+  bool shared = false;
 
   /// Innermost split frame (engine invariant: present at merge/stream).
   SplitFrame& top_frame();
   const SplitFrame& top_frame() const;
 
   void encode(Writer& w) const;
+  /// Decodes the rest of `r`, which must be exactly one envelope: bytes
+  /// left after it raise Error(kProtocol).
   static Envelope decode(Reader& r);
 
   /// Serialized size without building the buffer twice (bench accounting).

@@ -3,6 +3,7 @@
 #include <sys/uio.h>
 
 #include <cstring>
+#include <string>
 
 #include "serial/buffer_pool.hpp"
 #include "util/error.hpp"
@@ -21,6 +22,19 @@ static_assert(sizeof(WireHeader) == 16);
 
 size_t shared_size(const Frame& frame) {
   return frame.shared ? frame.shared->size() : 0;
+}
+
+/// Rejects a header before anything is allocated for its payload.
+void check_header(const WireHeader& h) {
+  if (h.magic != kFrameMagic) {
+    raise(Errc::kProtocol, "bad frame magic");
+  }
+  if (h.length > kMaxFrameLength) {
+    raise(Errc::kProtocol, "frame length " + std::to_string(h.length) +
+                               " exceeds the " +
+                               std::to_string(kMaxFrameLength) +
+                               "-byte limit");
+  }
 }
 
 WireHeader make_header(const Frame& frame) {
@@ -91,9 +105,7 @@ void write_frames(TcpConn& conn, const Frame* frames, size_t count) {
 bool read_frame(TcpConn& conn, Frame* out) {
   WireHeader h{};
   if (!conn.recv_all(&h, sizeof(h))) return false;
-  if (h.magic != kFrameMagic) {
-    raise(Errc::kProtocol, "bad frame magic");
-  }
+  check_header(h);
   out->kind = static_cast<FrameKind>(h.kind);
   out->from = h.from;
   out->payload.resize(h.length);
@@ -110,10 +122,8 @@ namespace {
 constexpr size_t kRxChunkSize = 64 * 1024;
 }  // namespace
 
-FrameReader::FrameReader(TcpConn& conn) : conn_(conn) {
-  buf_ = BufferPool::instance().acquire(kRxChunkSize);
-  buf_.resize(kRxChunkSize);
-}
+FrameReader::FrameReader(TcpConn& conn)
+    : conn_(conn), buf_(BufferPool::instance().acquire_sized(kRxChunkSize)) {}
 
 FrameReader::~FrameReader() {
   BufferPool::instance().release(std::move(buf_));
@@ -150,13 +160,12 @@ bool FrameReader::next(Frame* out) {
     }
   }
   std::memcpy(&h, buf_.data() + pos_, sizeof(h));
-  if (h.magic != kFrameMagic) {
-    raise(Errc::kProtocol, "bad frame magic");
-  }
+  check_header(h);
   out->kind = static_cast<FrameKind>(h.kind);
   out->from = h.from;
-  out->payload = BufferPool::instance().acquire(h.length);
-  out->payload.resize(h.length);
+  // Every byte is overwritten below (or the frame is never handed out),
+  // so a recycled buffer is not filled first.
+  out->payload = BufferPool::instance().acquire_sized(h.length);
   const size_t total = sizeof(h) + h.length;
   if (total <= buf_.size()) {
     // Fits in the chunk: keep refilling so trailing frames of the same

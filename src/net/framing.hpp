@@ -57,6 +57,13 @@ struct Frame {
 
 inline constexpr uint32_t kFrameMagic = 0x44505331;  // "DPS1"
 
+/// Longest frame payload a receiver accepts. A header that claims more is
+/// a protocol error, raised before anything is allocated for it, so a
+/// corrupt or hostile header cannot make the receiver reserve gigabytes.
+/// The largest frames sent in this repository are about 1 MB (fig6's
+/// largest block, perfbench's 1024x1024 world scatter).
+inline constexpr uint32_t kMaxFrameLength = 256u << 20;  // 256 MiB
+
 /// Size of a frame on the wire, including the header — used by benchmarks
 /// to account for DPS control overhead exactly.
 size_t frame_wire_size(const Frame& frame);
@@ -72,7 +79,8 @@ void write_frame(TcpConn& conn, const Frame& frame);
 void write_frames(TcpConn& conn, const Frame* frames, size_t count);
 
 /// Blocking frame read. Returns false on clean EOF before a new frame.
-/// Throws Error(kProtocol) on bad magic, Error(kNetwork) on socket errors.
+/// Throws Error(kProtocol) on bad magic or a length above kMaxFrameLength,
+/// Error(kNetwork) on socket errors.
 /// One recv per header and one per payload; the hot receive path uses
 /// FrameReader instead (one recv per *chunk* of frames).
 bool read_frame(TcpConn& conn, Frame* out);
@@ -96,8 +104,10 @@ class FrameReader {
   FrameReader& operator=(const FrameReader&) = delete;
 
   /// Same contract as read_frame: false on clean EOF at a frame boundary,
-  /// Error(kProtocol) on bad magic, Error(kNetwork) on errors / mid-frame
-  /// EOF. Blocks only when no complete frame is buffered.
+  /// Error(kProtocol) on bad magic or an over-long frame, Error(kNetwork)
+  /// on errors / mid-frame EOF. Blocks only when no complete frame is
+  /// buffered. The payload is a BufferPool buffer of exactly the frame's
+  /// length.
   bool next(Frame* out);
 
   /// True when a complete frame is already buffered — next() would return

@@ -388,8 +388,9 @@ void ShmInbox::rx_loop() {
         p.hdr_filled = 0;
         p.active = true;
         p.filled = 0;
-        p.buf = BufferPool::instance().acquire(p.rec.length);
-        p.buf.resize(p.rec.length);
+        // Filled from the ring below before it is handed on: a recycled
+        // buffer needs no zero-fill.
+        p.buf = BufferPool::instance().acquire_sized(p.rec.length);
         if (p.rec.length != 0) continue;
         // fall through: zero-payload frame completes immediately
       } else {

@@ -3,43 +3,64 @@
 namespace dps {
 
 BufferPool& BufferPool::instance() {
-  static BufferPool pool;
-  return pool;
+  // Leaked on purpose: a Buffer<T> inside a static token may return its
+  // block during static destruction, after a function-local static pool
+  // would already be gone.
+  static BufferPool* const pool = new BufferPool();
+  return *pool;
+}
+
+std::vector<std::byte> BufferPool::take(size_t n, bool sized) {
+  // A retained buffer fits when it can hand out n bytes without writing
+  // one: acquire() clears, so all of its capacity counts; acquire_sized()
+  // shrinks, so only the bytes it already holds, its size(), count.
+  const auto fits = [n, sized](const std::vector<std::byte>& b) {
+    return (sized ? b.size() : b.capacity()) >= n;
+  };
+  std::vector<std::byte> buf;
+  MutexLock lock(mu_);
+  ++stats_.acquires;
+  // Prefer the smallest retained buffer that fits; fall back to the
+  // largest one (topping it up writes only the bytes it lacks).
+  size_t best = free_.size();
+  for (size_t i = 0; i < free_.size(); ++i) {
+    if (!fits(free_[i])) continue;
+    if (best == free_.size() ||
+        free_[i].capacity() < free_[best].capacity()) {
+      best = i;
+    }
+  }
+  if (best == free_.size() && !free_.empty()) {
+    best = 0;
+    for (size_t i = 1; i < free_.size(); ++i) {
+      if (free_[i].capacity() > free_[best].capacity()) best = i;
+    }
+  }
+  if (best < free_.size()) {
+    buf = std::move(free_[best]);
+    free_.erase(free_.begin() + static_cast<ptrdiff_t>(best));
+    if (buf.capacity() >= n) ++stats_.reuses;
+  }
+  return buf;
 }
 
 std::vector<std::byte> BufferPool::acquire(size_t size_hint) {
-  std::vector<std::byte> buf;
-  bool reused = false;
-  {
-    MutexLock lock(mu_);
-    ++stats_.acquires;
-    // Prefer the smallest retained buffer that already fits the hint;
-    // fall back to the largest one (one reserve call tops it up).
-    size_t best = free_.size();
-    for (size_t i = 0; i < free_.size(); ++i) {
-      if (free_[i].capacity() < size_hint) continue;
-      if (best == free_.size() ||
-          free_[i].capacity() < free_[best].capacity()) {
-        best = i;
-      }
-    }
-    if (best == free_.size() && !free_.empty()) {
-      best = 0;
-      for (size_t i = 1; i < free_.size(); ++i) {
-        if (free_[i].capacity() > free_[best].capacity()) best = i;
-      }
-    }
-    if (best < free_.size()) {
-      buf = std::move(free_[best]);
-      free_.erase(free_.begin() + static_cast<ptrdiff_t>(best));
-      if (buf.capacity() >= size_hint) {
-        reused = true;
-        ++stats_.reuses;
-      }
-    }
-  }
+  std::vector<std::byte> buf = take(size_hint, false);
+  // clear() is free for bytes, and it must come before reserve() so that
+  // a regrow copies no stale byte.
   buf.clear();
-  if (!reused && buf.capacity() < size_hint) buf.reserve(size_hint);
+  if (buf.capacity() < size_hint) buf.reserve(size_hint);
+  return buf;
+}
+
+std::vector<std::byte> BufferPool::acquire_sized(size_t n) {
+  std::vector<std::byte> buf = take(n, true);
+  // A fitting buffer has size() >= n: resize shrinks it and writes
+  // nothing. A shorter one with room zero-fills only the bytes it lacks; a
+  // buffer too small is cleared first so the regrow copies nothing and
+  // zero-fills only the fresh allocation.
+  if (buf.capacity() < n) buf.clear();
+  buf.resize(n);
   return buf;
 }
 
@@ -51,8 +72,9 @@ void BufferPool::release(std::vector<std::byte> buf) {
     ++stats_.dropped;
     return;  // buf destructs outside the pool
   }
+  // The buffer keeps its size: those bytes are what acquire_sized can
+  // hand out again without writing.
   ++stats_.releases;
-  buf.clear();
   free_.push_back(std::move(buf));
 }
 

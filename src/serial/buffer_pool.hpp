@@ -1,10 +1,14 @@
-// Free-list pool for the transmit path's encode buffers.
+// Free-list pool for large byte buffers: encode buffers, received frames and
+// the storage of large Buffer<T> fields.
 //
 // Every envelope crossing a node boundary is encoded into one exact-size
 // byte vector (Envelope::encoded_size() + Writer::reserve). On the TCP
 // fabric the asynchronous sender owns that vector until the writev that
 // ships it completes, then returns it here; the next encode on any thread
-// reuses the capacity instead of hitting the allocator. The pool is a
+// reuses the capacity instead of hitting the allocator. The receive paths
+// take each frame from here with acquire_sized, and a large frame comes
+// back either when its Buffer<T> that adopted it dies or, when no field
+// adopted it, right after the controller decoded it. The pool is a
 // process-wide singleton because buffers migrate between threads (worker
 // encodes, sender releases) and between in-process "nodes".
 //
@@ -12,6 +16,10 @@
 // an arena. Dropping a buffer on the floor (e.g. the inproc fabric hands
 // payloads straight to the receiving controller, which frees them normally)
 // is always correct — acquire/release need not pair up.
+//
+// A retained buffer keeps the size it was released with. acquire_sized
+// picks one whose size() already covers the request and shrinks it, which
+// writes no byte; only bytes a buffer never held are zero-filled.
 #pragma once
 
 #include <cstddef>
@@ -22,19 +30,33 @@
 
 namespace dps {
 
+/// Byte blocks at least this large cycle through the BufferPool: Buffer<T>
+/// storage, and received frames no decode adopted. Smaller blocks use
+/// plain allocation, which at ~1 kB per frame costs less than the pool's
+/// lock. It is also the smallest Buffer<T> run a decode adopts from its
+/// frame instead of copying (serial/fields.hpp).
+inline constexpr size_t kPooledBlockBytes = 16 * 1024;
+
 class BufferPool {
  public:
+  /// The process-wide pool. It is never destroyed, so it outlives every
+  /// Buffer<T> that returns storage to it, static tokens included.
   static BufferPool& instance();
 
   /// An empty vector with capacity >= size_hint, recycled when possible.
   std::vector<std::byte> acquire(size_t size_hint);
+
+  /// A vector of size n, recycled when possible. Its bytes are unspecified
+  /// (stale bytes of a recycled buffer, zeros of a fresh one): the caller
+  /// must write every byte before exposing it.
+  std::vector<std::byte> acquire_sized(size_t n);
 
   /// Returns a buffer's capacity to the free list (contents are discarded).
   /// Buffers beyond the retention caps are simply freed.
   void release(std::vector<std::byte> buf);
 
   struct Stats {
-    uint64_t acquires = 0;  ///< total acquire() calls
+    uint64_t acquires = 0;  ///< total acquire() / acquire_sized() calls
     uint64_t reuses = 0;    ///< acquires satisfied without an allocation
     uint64_t releases = 0;  ///< buffers returned to the free list
     uint64_t dropped = 0;   ///< releases rejected by the retention caps
@@ -54,6 +76,11 @@ class BufferPool {
 
  private:
   BufferPool() = default;
+
+  /// Takes the best-fitting retained buffer for `n` bytes out of the free
+  /// list (empty when there is none) and counts the acquire. `sized` fits
+  /// by size() (acquire_sized), otherwise by capacity() (acquire).
+  std::vector<std::byte> take(size_t n, bool sized);
 
   // Caps chosen for the engine's working set: a handful of in-flight
   // frames per peer link. Oversized one-off buffers (multi-MB tokens) are

@@ -16,13 +16,18 @@
 // paper, derived automatically and safely.
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <memory>
 #include <new>
+#include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
+#include "serial/buffer_pool.hpp"
 #include "serial/token.hpp"
 #include "serial/wire.hpp"
 #include "util/error.hpp"
@@ -212,6 +217,13 @@ class CT {
 // ---------------------------------------------------------------------------
 // Buffer<T> — variable-size array of simple (trivially copyable) elements,
 // serialized as count + one raw byte run.
+//
+// Storage is one byte block with the elements at an offset inside it. A
+// block of at least kPooledBlockBytes comes from the BufferPool and goes
+// back to it when replaced or destroyed; a smaller one is a plain
+// allocation. A large run that ends an adoptable frame (Reader::adoptable)
+// decodes without a copy: the received frame becomes the block and the
+// elements start after its envelope prefix. Copies are deep.
 // ---------------------------------------------------------------------------
 
 template <class T>
@@ -219,55 +231,120 @@ class Buffer {
   static_assert(std::is_trivially_copyable_v<T>,
                 "Buffer<T> holds trivially copyable elements; use Vector<T> "
                 "for complex elements");
+  static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__,
+                "Buffer<T> storage is aligned like operator new's");
 
  public:
   Buffer() { detail::register_field(this, ops()); }
-  explicit Buffer(size_t n) : v_(n) { detail::register_field(this, ops()); }
-  Buffer(const Buffer& o) : v_(o.v_) { detail::register_field(this, ops()); }
+  explicit Buffer(size_t n) : Buffer() { resize(n); }
+  Buffer(const Buffer& o) : Buffer() { assign(o.begin(), o.end()); }
   Buffer& operator=(const Buffer& o) {
-    v_ = o.v_;
+    if (this != &o) assign(o.begin(), o.end());
     return *this;
   }
+  ~Buffer() { release_block(); }
 
-  size_t size() const noexcept { return v_.size(); }
-  bool empty() const noexcept { return v_.empty(); }
-  void resize(size_t n) { v_.resize(n); }
-  void clear() noexcept { v_.clear(); }
-  void push_back(const T& x) { v_.push_back(x); }
-  T& operator[](size_t i) noexcept { return v_[i]; }
-  const T& operator[](size_t i) const noexcept { return v_[i]; }
-  T* data() noexcept { return v_.data(); }
-  const T* data() const noexcept { return v_.data(); }
-  auto begin() noexcept { return v_.begin(); }
-  auto end() noexcept { return v_.end(); }
-  auto begin() const noexcept { return v_.begin(); }
-  auto end() const noexcept { return v_.end(); }
-  void assign(const T* first, const T* last) { v_.assign(first, last); }
+  size_t size() const noexcept { return size_; }
+  bool empty() const noexcept { return size_ == 0; }
+  /// New elements are value-initialized.
+  void resize(size_t n) {
+    if (n > capacity_) grow(n);
+    if (n > size_) std::uninitialized_value_construct(data_ + size_, data_ + n);
+    size_ = n;
+  }
+  void clear() noexcept { size_ = 0; }
+  void push_back(const T& x) {
+    if (size_ == capacity_) {
+      const T copy = x;  // x may live in the block grow() replaces
+      grow(size_ + 1);
+      ::new (static_cast<void*>(data_ + size_++)) T(copy);
+      return;
+    }
+    ::new (static_cast<void*>(data_ + size_++)) T(x);
+  }
+  T& operator[](size_t i) noexcept { return data_[i]; }
+  const T& operator[](size_t i) const noexcept { return data_[i]; }
+  T* data() noexcept { return data_; }
+  const T* data() const noexcept { return data_; }
+  T* begin() noexcept { return data_; }
+  T* end() noexcept { return data_ + size_; }
+  const T* begin() const noexcept { return data_; }
+  const T* end() const noexcept { return data_ + size_; }
+  void assign(const T* first, const T* last) {
+    const auto n = static_cast<size_t>(last - first);
+    // A range longer than the block cannot lie inside it, so the old
+    // elements need not survive the reallocation.
+    if (n > capacity_) reallocate(n, 0);
+    if (n > 0) std::memmove(data_, first, n * sizeof(T));
+    size_ = n;
+  }
 
  private:
+  /// Grows to at least `n` elements, doubling like std::vector.
+  void grow(size_t n) { reallocate(std::max(n, 2 * capacity_), size_); }
+
+  /// Moves to a fresh block of `n` elements, keeping the first `keep`. The
+  /// rest of the block is unwritten: callers write before they expose it.
+  void reallocate(size_t n, size_t keep) {
+    if (n > SIZE_MAX / sizeof(T)) throw std::length_error("Buffer<T> size");
+    const size_t bytes = n * sizeof(T);
+    std::vector<std::byte> block =
+        bytes >= kPooledBlockBytes ? BufferPool::instance().acquire_sized(bytes)
+                                   : std::vector<std::byte>(bytes);
+    if (keep > 0) std::memcpy(block.data(), data_, keep * sizeof(T));
+    release_block();
+    block_ = std::move(block);
+    data_ = reinterpret_cast<T*>(block_.data());
+    capacity_ = n;
+  }
+
+  void release_block() noexcept {
+    if (block_.capacity() >= kPooledBlockBytes) {
+      BufferPool::instance().release(std::move(block_));
+    }
+  }
+
   static const detail::FieldOps* ops() {
     static const detail::FieldOps o{&serialize_fn, &deserialize_fn,
                                     &wire_size_fn};
     return &o;
   }
   static void serialize_fn(const void* field, Writer& w) {
-    const auto& v = static_cast<const Buffer*>(field)->v_;
-    w.put(static_cast<uint64_t>(v.size()));
-    w.put_raw(v.data(), v.size() * sizeof(T));
+    const auto& b = *static_cast<const Buffer*>(field);
+    w.put(static_cast<uint64_t>(b.size_));
+    w.put_raw(b.data_, b.size_ * sizeof(T));
   }
   static size_t wire_size_fn(const void* field) {
-    const auto& v = static_cast<const Buffer*>(field)->v_;
-    return sizeof(uint64_t) + v.size() * sizeof(T);
+    const auto& b = *static_cast<const Buffer*>(field);
+    return sizeof(uint64_t) + b.size_ * sizeof(T);
   }
   static void deserialize_fn(void* field, Reader& r) {
-    auto& v = static_cast<Buffer*>(field)->v_;
+    auto& b = *static_cast<Buffer*>(field);
     const uint64_t n = r.get<uint64_t>();
     r.require_count(n, sizeof(T));
-    v.resize(n);
-    r.get_raw(v.data(), n * sizeof(T));
+    const size_t bytes = static_cast<size_t>(n) * sizeof(T);
+    std::vector<std::byte> frame;
+    size_t offset = 0;
+    if (bytes >= kPooledBlockBytes &&
+        r.adopt_tail(bytes, alignof(T), &frame, &offset)) {
+      b.release_block();
+      b.block_ = std::move(frame);
+      b.data_ = reinterpret_cast<T*>(b.block_.data() + offset);
+      b.size_ = b.capacity_ = static_cast<size_t>(n);
+      return;
+    }
+    // The run overwrites every element, so no old one is kept and the
+    // block is not filled first.
+    b.size_ = 0;
+    if (n > b.capacity_) b.reallocate(static_cast<size_t>(n), 0);
+    r.get_raw(b.data_, bytes);
+    b.size_ = static_cast<size_t>(n);
   }
 
-  std::vector<T> v_;
+  std::vector<std::byte> block_;  ///< storage; pooled when large
+  T* data_ = nullptr;             ///< element 0, inside block_
+  size_t size_ = 0;               ///< elements in use
+  size_t capacity_ = 0;           ///< elements block_ holds from data_ on
 };
 
 // ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@
 #include <cstring>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -91,6 +92,15 @@ class Reader {
   explicit Reader(const std::vector<std::byte>& buf)
       : Reader(buf.data(), buf.size()) {}
 
+  /// A reader over a received frame whose storage the decode may adopt
+  /// (see adopt_tail), leaving `frame` empty. The caller keeps `frame`
+  /// alive, and changes it only through this reader, while decoding.
+  static Reader adoptable(std::vector<std::byte>& frame) {
+    Reader r(frame);
+    r.frame_ = &frame;
+    return r;
+  }
+
   void get_raw(void* out, size_t size) {
     require(size);
     // memcpy is declared nonnull; an empty container's data() is null, so a
@@ -129,6 +139,27 @@ class Reader {
     return p;
   }
 
+  /// Moves the frame's storage into *block instead of reading the next
+  /// `size` bytes, when this reader is adoptable and those bytes are the
+  /// frame's tail, start at an address aligned to `align`, and are at least
+  /// half of the frame's allocation, its capacity() (so an adopted block
+  /// never pins more foreign bytes than its own). The run then starts at
+  /// block->data() + *offset and the reader is at its end. Otherwise reads
+  /// nothing and returns false.
+  bool adopt_tail(size_t size, size_t align, std::vector<std::byte>* block,
+                  size_t* offset) {
+    if (frame_ == nullptr || size != remaining() ||
+        size < frame_->capacity() - size ||
+        reinterpret_cast<uintptr_t>(data_ + pos_) % align != 0) {
+      return false;
+    }
+    *offset = pos_;
+    *block = std::exchange(*frame_, {});
+    frame_ = nullptr;
+    pos_ = size_;
+    return true;
+  }
+
   size_t remaining() const { return size_ - pos_; }
   bool at_end() const { return pos_ == size_; }
 
@@ -157,6 +188,7 @@ class Reader {
   const std::byte* data_;
   size_t size_;
   size_t pos_ = 0;
+  std::vector<std::byte>* frame_ = nullptr;  ///< adoptable frame, if any
 };
 
 }  // namespace dps

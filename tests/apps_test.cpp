@@ -4,6 +4,8 @@
 
 #include "apps/matmul.hpp"
 #include "apps/ring.hpp"
+#include "net/shm_fabric.hpp"
+#include "serial/buffer_pool.hpp"
 
 namespace dps {
 namespace {
@@ -59,6 +61,128 @@ TEST(RingApp, TwoHopDegenerateRing) {
       token_cast<RingDoneToken>(graph->call(new RingStartToken(5, 128)));
   ASSERT_TRUE(done);
   EXPECT_EQ(done->blocks, 5);
+}
+
+// RingForward reposts its input block instead of copying it. Blocks that
+// carry a pattern must reach the merge byte-exact on every transport, at
+// sizes either side of the threshold where a receiver adopts the frame.
+using apps::RingBlockToken;
+using apps::RingForward;
+using apps::RingHopRoute;
+using apps::RingSinkRoute;
+using apps::RingSinkThread;
+using apps::RingStartRoute;
+using apps::RingThread;
+
+size_t pattern_block_size(int32_t index) {
+  const size_t sizes[] = {1000, kPooledBlockBytes - 1, kPooledBlockBytes,
+                          100 * 1000};
+  return sizes[index % 4];
+}
+
+uint8_t pattern_byte(int32_t index, size_t j) {
+  return static_cast<uint8_t>((static_cast<size_t>(index) * 131 + j * 7) ^
+                              (j >> 8));
+}
+
+class RingPatternSplit
+    : public SplitOperation<RingThread, TV1(RingStartToken),
+                            TV1(RingBlockToken)> {
+ public:
+  void execute(RingStartToken* in) override {
+    for (int32_t i = 0; i < in->block_count; ++i) {
+      auto* block = new RingBlockToken();
+      block->hop = 1;
+      block->index = i;
+      block->payload.resize(pattern_block_size(i));
+      for (size_t j = 0; j < block->payload.size(); ++j) {
+        block->payload[j] = pattern_byte(i, j);
+      }
+      postToken(block);
+    }
+  }
+  DPS_IDENTIFY_OPERATION(RingPatternSplit);
+};
+
+/// Reports the block count, and the byte total only when every byte of
+/// every block matched (-1 otherwise).
+class RingPatternMerge
+    : public MergeOperation<RingSinkThread, TV1(RingBlockToken),
+                            TV1(RingDoneToken)> {
+ public:
+  void execute(RingBlockToken* first) override {
+    int32_t blocks = 0;
+    int64_t bytes = 0;
+    bool exact = true;
+    Ptr<Token> t(first);
+    do {
+      auto block = token_cast<RingBlockToken>(t);
+      const int32_t index = block->index.get();
+      exact = exact && block->payload.size() == pattern_block_size(index);
+      for (size_t j = 0; exact && j < block->payload.size(); ++j) {
+        exact = block->payload[j] == pattern_byte(index, j);
+      }
+      bytes += static_cast<int64_t>(block->payload.size());
+      ++blocks;
+    } while ((t = waitForNextToken()));
+    postToken(new RingDoneToken(blocks, exact ? bytes : -1));
+  }
+  DPS_IDENTIFY_OPERATION(RingPatternMerge);
+};
+
+void expect_reposted_ring_byte_exact(
+    ClusterConfig config, const char* hops = "node0 node1 node2 node3") {
+  constexpr int kHops = 4;
+  constexpr int32_t kBlocks = 96;
+  Cluster cluster(std::move(config));
+  Application app(cluster, "ring-pattern");
+  auto ring = app.thread_collection<RingThread>("pattern_ring");
+  ring->map(hops);
+  auto sink = app.thread_collection<RingSinkThread>("pattern_sink");
+  sink->map("node0");
+  FlowgraphNode<RingPatternSplit, RingStartRoute> split(ring);
+  FlowgraphNode<RingPatternMerge, RingSinkRoute> merge(sink);
+  auto chain = split >> FlowgraphNode<RingForward, RingHopRoute>(ring);
+  for (int h = 2; h < kHops; ++h) {
+    chain = std::move(chain) >> FlowgraphNode<RingForward, RingHopRoute>(ring);
+  }
+  FlowgraphBuilder builder = std::move(chain) >> merge;
+  auto graph = app.build_graph(builder, "ring-pattern");
+  ActorScope scope(cluster.domain(), "main");
+  // A refused repost loses its block; the deadline turns that into a
+  // failure instead of a hang.
+  auto done = token_cast<RingDoneToken>(
+      graph->call_async(new RingStartToken(kBlocks, 0))
+          .with_deadline(30000)
+          .wait());
+  ASSERT_TRUE(done);
+  EXPECT_EQ(done->blocks, kBlocks);
+  int64_t want = 0;
+  for (int32_t i = 0; i < kBlocks; ++i) {
+    want += static_cast<int64_t>(pattern_block_size(i));
+  }
+  EXPECT_EQ(done->payload_bytes, want) << "-1: a block arrived corrupted";
+}
+
+TEST(RingApp, RepostedBlocksStayByteExactInproc) {
+  expect_reposted_ring_byte_exact(ClusterConfig::inproc(4));
+}
+
+TEST(RingApp, RepostedBlocksStayByteExactOverTcp) {
+  expect_reposted_ring_byte_exact(ClusterConfig::tcp(4));
+}
+
+TEST(RingApp, RepostedBlocksStayByteExactWithinOneNode) {
+  // Every hop hands the same object to the next one by pointer, and the
+  // upstream execution may still hold it while the next runs: that must
+  // not refuse the repost.
+  expect_reposted_ring_byte_exact(ClusterConfig::inproc(1),
+                                  "node0 node0 node0 node0");
+}
+
+TEST(RingApp, RepostedBlocksStayByteExactOverShm) {
+  if (!shm_available()) GTEST_SKIP() << "POSIX shared memory unavailable";
+  expect_reposted_ring_byte_exact(ClusterConfig::shm(4));
 }
 
 class MatMulParam : public ::testing::TestWithParam<std::tuple<int, int, int>> {

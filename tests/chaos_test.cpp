@@ -4,9 +4,12 @@
 // surface as Error(kNodeDown) followed by checkpoint-based recovery, never a
 // hang. All fault decisions are seed-pinned for reproducibility.
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 
 #include "apps/life.hpp"
@@ -364,6 +367,56 @@ TEST(Chaos, TcpTornStreamSurfacesProtocolErrorNamingTheNode) {
       << reason;
   EXPECT_NE(reason.find("bravo"), std::string::npos)
       << "the offending node must be named: " << reason;
+  fabric.shutdown();
+}
+
+// A peer's header that claims 4 GiB of payload once made the receiver
+// reserve and zero-fill all of it before a payload byte arrived. It is now
+// refused at the header (kMaxFrameLength) and reported like a torn stream.
+TEST(Chaos, TcpOverlongFrameHeaderIsReportedWithoutAllocating) {
+  TcpFabric fabric(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<NodeMessage> received;
+  fabric.attach(0, [&](NodeMessage&& m) {
+    std::lock_guard<std::mutex> lock(mu);
+    received.push_back(std::move(m));
+    cv.notify_all();
+  });
+  fabric.attach(1, [](NodeMessage&&) {});
+  rusage before{};
+  getrusage(RUSAGE_SELF, &before);
+
+  TcpConn conn = TcpConn::connect("127.0.0.1", fabric.port_of(0));
+  Frame hello;
+  hello.kind = FrameKind::kHello;
+  hello.from = 1;
+  write_frame(conn, hello);
+  Writer w;
+  w.put<uint32_t>(kFrameMagic);
+  w.put<uint16_t>(static_cast<uint16_t>(FrameKind::kEnvelope));
+  w.put<uint16_t>(0);            // reserved
+  w.put<uint32_t>(1);            // from
+  w.put<uint32_t>(0xFFFFFFFFu);  // claimed payload length
+  conn.send_all(w.bytes().data(), w.size());
+
+  std::unique_lock<std::mutex> lock(mu);
+  const bool got = cv.wait_for(lock, std::chrono::seconds(5),
+                               [&] { return !received.empty(); });
+  ASSERT_TRUE(got) << "the refused header must be reported";
+  EXPECT_EQ(received[0].kind, FrameKind::kPeerDown);
+  EXPECT_EQ(received[0].from, 1u);
+  Reader r(received[0].payload);
+  const std::string reason = r.get_string();
+  EXPECT_NE(reason.find(to_string(Errc::kProtocol)), std::string::npos)
+      << reason;
+  EXPECT_NE(reason.find("frame length"), std::string::npos) << reason;
+  rusage after{};
+  getrusage(RUSAGE_SELF, &after);
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 64 * 1024)
+      << "peak RSS grew by " << (after.ru_maxrss - before.ru_maxrss)
+      << " kB while the connection was still open";
+  lock.unlock();
   fabric.shutdown();
 }
 

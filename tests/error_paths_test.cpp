@@ -2,6 +2,8 @@
 // (logged + the schedule stalls detectably), never silently corrupt state.
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/application.hpp"
 #include "core/controller.hpp"
 
@@ -111,6 +113,123 @@ void expect_deadlocked_call(const char* name) {
   auto handle = graph->call_async(new ENumToken(5));
   EXPECT_THROW((void)handle.wait(), Error)
       << name << ": the violation must surface as a detectable stall";
+}
+
+// A leaf may repost its input token instead of copying it, but not one a
+// multicast delivered: the co-receivers on one node share the object.
+constexpr int kRepostReceivers = 3;
+std::atomic<int> g_repost_state_errors{0};
+
+class EMcastSplit
+    : public SplitOperation<EMainThread, TV1(ENumToken), TV1(ENumToken)> {
+ public:
+  void execute(ENumToken* in) override {
+    postTokenMulticast(new ENumToken(in->value), {0, 1, 2});
+  }
+  DPS_IDENTIFY_OPERATION(EMcastSplit);
+};
+
+class ERepostLeaf
+    : public LeafOperation<EWorkThread, TV1(ENumToken), TV1(ENumToken)> {
+ public:
+  void execute(ENumToken* in) override {
+    try {
+      postToken(in);
+    } catch (const Error& e) {
+      if (e.code() != Errc::kState) throw;
+      g_repost_state_errors.fetch_add(1);
+      postToken(new ENumToken(in->value));
+    }
+  }
+  DPS_IDENTIFY_OPERATION(ERepostLeaf);
+};
+
+void expect_shared_reposts_refused(ClusterConfig config, const char* leaves,
+                                   int shared) {
+  g_repost_state_errors = 0;
+  Cluster cluster(std::move(config));
+  Application app(cluster, "shared-repost");
+  auto mains = app.thread_collection<EMainThread>("sr-m");
+  mains->map("node0");
+  auto workers = app.thread_collection<EWorkThread>("sr-w");
+  workers->map(leaves);
+  FlowgraphBuilder b = FlowgraphNode<EMcastSplit, EMainRoute>(mains) >>
+                       FlowgraphNode<ERepostLeaf, EWorkRoute>(workers) >>
+                       FlowgraphNode<EMerge, EMainRoute>(mains);
+  auto graph = app.build_graph(b, "shared-repost");
+  ActorScope scope(cluster.domain(), "main");
+  auto result = token_cast<ENumToken>(graph->call(new ENumToken(21)));
+  ASSERT_TRUE(result);
+  EXPECT_EQ(result->value, 21 * kRepostReceivers);
+  EXPECT_EQ(g_repost_state_errors.load(), shared)
+      << "every repost of a shared input must raise kState, and only those";
+}
+
+TEST(ErrorPaths, RepostOfASharedMulticastInputRaisesState) {
+  // Local co-receivers all share the poster's object.
+  expect_shared_reposts_refused(ClusterConfig::inproc(1), "node0 node0 node0",
+                                3);
+  // Remote ones share one decode of the multicast frame, which carries all
+  // destinations but the last; that one travels as a plain envelope, has
+  // an object of its own and may be reposted.
+  expect_shared_reposts_refused(ClusterConfig::tcp(2), "node1 node1 node1", 2);
+}
+
+// A repost that raises leaves the input with the leaf. Here the successor's
+// route picks a thread outside its collection; the leaf reads its input
+// after the failure, which asan reports if the repost freed it.
+std::atomic<int> g_failed_reposts{0};
+std::atomic<int> g_value_after_failed_repost{0};
+
+class ERepostThenReadLeaf
+    : public LeafOperation<EWorkThread, TV1(ENumToken), TV1(ENumToken)> {
+ public:
+  void execute(ENumToken* in) override {
+    in->value += 100;
+    try {
+      postToken(in);
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), Errc::kInvalidArgument) << e.what();
+      g_failed_reposts.fetch_add(1);
+      g_value_after_failed_repost.store(in->value);
+      throw;
+    }
+  }
+  DPS_IDENTIFY_OPERATION(ERepostThenReadLeaf);
+};
+
+class EPassLeaf
+    : public LeafOperation<EWorkThread, TV1(ENumToken), TV1(ENumToken)> {
+ public:
+  void execute(ENumToken* in) override {
+    postToken(new ENumToken(in->value));
+  }
+  DPS_IDENTIFY_OPERATION(EPassLeaf);
+};
+
+TEST(ErrorPaths, FailedRepostLeavesTheInputReadable) {
+  g_failed_reposts = 0;
+  g_value_after_failed_repost = 0;
+  Cluster cluster(ClusterConfig::simulated(2));
+  Application app(cluster, "failed-repost");
+  auto mains = app.thread_collection<EMainThread>("fr-m");
+  mains->map("node0");
+  auto workers = app.thread_collection<EWorkThread>("fr-w");
+  workers->map("node1");
+  auto sinks = app.thread_collection<EWorkThread>("fr-s");
+  sinks->map("node1");
+  FlowgraphBuilder b =
+      FlowgraphNode<ESplit, EMainRoute>(mains) >>
+      FlowgraphNode<ERepostThenReadLeaf, EWorkRoute>(workers) >>
+      FlowgraphNode<EPassLeaf, EBadRoute>(sinks) >>
+      FlowgraphNode<EMerge, EMainRoute>(mains);
+  auto graph = app.build_graph(b, "failed-repost");
+  ActorScope scope(cluster.domain(), "main");
+  auto handle = graph->call_async(new ENumToken(1));
+  EXPECT_THROW((void)handle.wait(), Error)
+      << "the failed repost must surface as a detectable stall";
+  EXPECT_EQ(g_failed_reposts.load(), 1);
+  EXPECT_EQ(g_value_after_failed_repost.load(), 100);
 }
 
 TEST(ErrorPaths, LeafDoublePostSuppressed) {

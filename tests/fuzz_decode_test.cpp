@@ -3,13 +3,20 @@
 // crashes, hangs, or silent misreads. Seed-parameterized gtest.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <random>
+#include <thread>
 
 #include "core/envelope.hpp"
+#include "net/framing.hpp"
 #include "net/reliable_fabric.hpp"
+#include "net/socket.hpp"
 #include "obs/trace_format.hpp"
+#include "serial/buffer_pool.hpp"
 #include "serial/registry.hpp"
 #include "test_seed.hpp"
 
@@ -486,6 +493,331 @@ TEST(FuzzDecode, ReliableReceiveSurvivesMutatedFrames) {
   }
   for (const NodeMessage& m : rx.up) {
     EXPECT_NE(m.kind, FrameKind::kReliable) << "frames go up unwrapped";
+  }
+}
+
+// --- Adopting decodes -----------------------------------------------------------
+//
+// The controller decodes every envelope-bearing frame through an adoptable
+// reader, so a large Buffer<T> at the frame's tail may take the frame's
+// storage. A frame must decode to an envelope that re-encodes to the same
+// bytes, or raise kProtocol (kNotFound when a flip hits the type id, by
+// the registry's contract).
+
+class FuzzBlobToken : public ComplexToken {
+ public:
+  CT<int32_t> tag;
+  Buffer<uint8_t> blob;
+  DPS_IDENTIFY(FuzzBlobToken);
+};
+
+class FuzzWordsToken : public ComplexToken {
+ public:
+  CT<int32_t> tag;
+  Buffer<uint32_t> words;  // the run is at offset 84: adoptable
+  DPS_IDENTIFY(FuzzWordsToken);
+};
+
+/// An envelope frame whose token ends in a Buffer run of a random size on
+/// either side of kPooledBlockBytes.
+std::vector<std::byte> adopt_frame_bytes(std::mt19937& rng) {
+  Envelope e;
+  e.app = 1;
+  e.graph = 2;
+  e.vertex = 3;
+  e.call = rng();
+  e.frames.push_back(
+      SplitFrame{rng(), static_cast<uint32_t>(rng() % 64), 0, 0, 1});
+  const size_t bytes = kPooledBlockBytes / 2 + rng() % (2 * kPooledBlockBytes);
+  if (rng() % 2 == 0) {
+    auto* t = new FuzzWordsToken();
+    t->tag = static_cast<int32_t>(rng());
+    t->words.resize(bytes / sizeof(uint32_t));
+    for (uint32_t& v : t->words) v = rng();
+    e.token = Ptr<Token>(t);
+  } else {
+    auto* t = new FuzzBlobToken();
+    t->tag = static_cast<int32_t>(rng());
+    t->blob.resize(bytes);
+    for (uint8_t& v : t->blob) v = static_cast<uint8_t>(rng());
+    e.token = Ptr<Token>(t);
+  }
+  Writer w;
+  e.encode(w);
+  return w.take();
+}
+
+/// Decodes `bytes` the way the controller does. True when it decoded (and
+/// re-encoded to the same bytes); *adopted then says whether the token
+/// took the frame. False when the decode raised.
+bool adopt_round_trips_or_rejects(const std::vector<std::byte>& bytes,
+                                  bool* adopted = nullptr) {
+  std::vector<std::byte> frame = bytes;  // the decode may take this copy
+  Reader r = Reader::adoptable(frame);
+  Envelope e;
+  try {
+    e = Envelope::decode(r);
+  } catch (const Error& err) {
+    EXPECT_TRUE(err.code() == Errc::kProtocol ||
+                err.code() == Errc::kNotFound)
+        << to_string(err.code()) << ": " << err.what();
+    return false;
+  }
+  if (adopted != nullptr) *adopted = frame.empty();
+  Writer w;
+  e.encode(w);
+  EXPECT_TRUE(w.bytes() == bytes) << "a decoded envelope re-encodes "
+                                     "differently ("
+                                  << bytes.size() << " bytes)";
+  return true;
+}
+
+TEST(FuzzDecode, AdoptValidFramesRoundTrip) {
+  const uint32_t seed = dps_testing::effective_seed(0xad0971);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  int adopted_count = 0;
+  for (int round = 0; round < 60; ++round) {
+    bool adopted = false;
+    ASSERT_TRUE(adopt_round_trips_or_rejects(adopt_frame_bytes(rng), &adopted))
+        << "round " << round;
+    adopted_count += adopted ? 1 : 0;
+  }
+  EXPECT_GT(adopted_count, 0) << "no frame exercised the adopting path";
+  EXPECT_LT(adopted_count, 60) << "no frame exercised the copying path";
+}
+
+TEST(FuzzDecode, AdoptTruncatedFramesAreRejected) {
+  const uint32_t seed = dps_testing::effective_seed(0xad0972);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (int round = 0; round < 40; ++round) {
+    const std::vector<std::byte> full = adopt_frame_bytes(rng);
+    for (int cut = 0; cut < 8; ++cut) {
+      // Mostly near the end, where the run and the adopt decision live.
+      const size_t len = cut < 4 ? full.size() - 1 - rng() % 64
+                                 : rng() % full.size();
+      const std::vector<std::byte> part(
+          full.begin(), full.begin() + static_cast<ptrdiff_t>(len));
+      EXPECT_FALSE(adopt_round_trips_or_rejects(part))
+          << "round " << round << ", " << len << " of " << full.size();
+    }
+  }
+}
+
+TEST(FuzzDecode, AdoptMutatedFramesRoundTripOrReject) {
+  const uint32_t seed = dps_testing::effective_seed(0xad0973);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::byte> bytes = adopt_frame_bytes(rng);
+    const int flips = 1 + static_cast<int>(rng() % 4);
+    for (int f = 0; f < flips; ++f) {
+      // Half the flips land in the envelope header, the token's type id
+      // and its run count, which steer the decode.
+      const size_t pos = rng() % 2 == 0 ? rng() % std::min<size_t>(96, bytes.size())
+                                        : rng() % bytes.size();
+      bytes[pos] ^= static_cast<std::byte>(1u << (rng() % 8));
+    }
+    if (rng() % 4 == 0) {
+      for (uint32_t extra = 1 + rng() % 8; extra > 0; --extra) {
+        bytes.push_back(static_cast<std::byte>(rng()));  // trailing bytes
+      }
+    }
+    (void)adopt_round_trips_or_rejects(bytes);
+  }
+}
+
+TEST(FuzzDecode, AdoptRandomTokenBytesRoundTripOrReject) {
+  const uint32_t seed = dps_testing::effective_seed(0xad0974);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (int round = 0; round < 200; ++round) {
+    // A valid envelope header, then garbage where the token would be.
+    std::vector<std::byte> bytes = adopt_frame_bytes(rng);
+    const size_t keep = rng() % 80;
+    bytes.resize(keep + rng() % (2 * kPooledBlockBytes));
+    for (size_t i = keep; i < bytes.size(); ++i) {
+      bytes[i] = static_cast<std::byte>(rng());
+    }
+    (void)adopt_round_trips_or_rejects(bytes);
+  }
+}
+
+// --- FrameReader -------------------------------------------------------------
+//
+// Frame streams written to a loopback connection in randomly split chunks.
+// Valid frames come out byte-identical, garbage raises, nothing hangs, and
+// a header claiming more than kMaxFrameLength is refused before anything
+// is allocated for it.
+
+struct WireFrame {
+  uint16_t kind = 0;
+  uint32_t from = 0;
+  std::vector<std::byte> payload;
+};
+
+void put_frame(Writer& w, uint32_t magic, const WireFrame& f, uint32_t length) {
+  w.put<uint32_t>(magic);
+  w.put<uint16_t>(f.kind);
+  w.put<uint16_t>(0);
+  w.put<uint32_t>(f.from);
+  w.put<uint32_t>(length);
+  w.put_raw(f.payload.data(), f.payload.size());
+}
+
+/// Random frames, small and large: some longer than FrameReader's 64 kB
+/// receive chunk, so both of its payload paths run.
+std::vector<WireFrame> random_frames(std::mt19937& rng) {
+  std::vector<WireFrame> frames(1 + rng() % 12);
+  for (WireFrame& f : frames) {
+    f.kind = static_cast<uint16_t>(1 + rng() % 10);
+    f.from = rng() % 8;
+    const uint32_t pick = rng() % 8;
+    const size_t len = pick == 0   ? 0
+                       : pick < 5  ? rng() % 2048
+                       : pick < 7  ? rng() % (64 * 1024)
+                                   : 64 * 1024 + rng() % (96 * 1024);
+    f.payload.resize(len);
+    for (std::byte& b : f.payload) b = static_cast<std::byte>(rng());
+  }
+  return frames;
+}
+
+/// How a stream ends for a reader that decodes it front to back.
+enum class StreamEnd { kCleanEof, kProtocol, kNetwork };
+
+/// Reference decoder for `wire`: the frames before the end, and the end.
+StreamEnd reference_decode(const std::vector<std::byte>& wire,
+                           std::vector<WireFrame>* out) {
+  size_t pos = 0;
+  for (;;) {
+    if (pos == wire.size()) return StreamEnd::kCleanEof;
+    if (wire.size() - pos < 16) return StreamEnd::kNetwork;
+    uint32_t magic, from, length;
+    uint16_t kind;
+    std::memcpy(&magic, &wire[pos], 4);
+    std::memcpy(&kind, &wire[pos + 4], 2);
+    std::memcpy(&from, &wire[pos + 8], 4);
+    std::memcpy(&length, &wire[pos + 12], 4);
+    if (magic != kFrameMagic || length > kMaxFrameLength) {
+      return StreamEnd::kProtocol;
+    }
+    if (wire.size() - pos - 16 < length) return StreamEnd::kNetwork;
+    WireFrame f;
+    f.kind = kind;
+    f.from = from;
+    f.payload.assign(wire.begin() + static_cast<ptrdiff_t>(pos + 16),
+                     wire.begin() + static_cast<ptrdiff_t>(pos + 16 + length));
+    out->push_back(std::move(f));
+    pos += 16 + length;
+  }
+}
+
+/// Writes `wire` into a loopback connection in random chunks while a
+/// FrameReader decodes the other end; checks the reader against
+/// reference_decode.
+void expect_frame_reader_matches_reference(const std::vector<std::byte>& wire,
+                                           std::mt19937& rng) {
+  std::vector<WireFrame> want;
+  const StreamEnd want_end = reference_decode(wire, &want);
+
+  TcpListener listener = TcpListener::bind(0);
+  TcpConn tx = TcpConn::connect("127.0.0.1", listener.port());
+  TcpConn rx = listener.accept();
+  std::vector<size_t> cuts;
+  for (size_t at = 0; at < wire.size();) {
+    at += 1 + rng() % 9000;
+    cuts.push_back(std::min(at, wire.size()));
+  }
+  std::thread writer([&wire, &cuts, conn = std::move(tx)]() mutable {
+    size_t from = 0;
+    try {
+      for (size_t i = 0; i < cuts.size(); ++i) {
+        conn.send_all(wire.data() + from, cuts[i] - from);
+        from = cuts[i];
+        if (i % 3 == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
+      }
+    } catch (const Error&) {
+      // The reader stopped early and closed its end.
+    }
+  });  // closing `conn` on exit is the EOF the reader waits for
+
+  BufferPool& pool = BufferPool::instance();
+  std::vector<Frame> got;
+  StreamEnd end = StreamEnd::kCleanEof;
+  {
+    FrameReader reader(rx);
+    for (;;) {
+      const uint64_t acquires = pool.stats().acquires;
+      Frame f;
+      try {
+        if (!reader.next(&f)) break;
+      } catch (const Error& e) {
+        end = e.code() == Errc::kProtocol ? StreamEnd::kProtocol
+                                          : StreamEnd::kNetwork;
+        if (end == StreamEnd::kProtocol) {
+          EXPECT_EQ(pool.stats().acquires, acquires)
+              << "a refused header must not allocate";
+        }
+        break;
+      }
+      got.push_back(std::move(f));
+    }
+  }
+  rx.close();  // unblocks a writer the reader abandoned
+  writer.join();
+
+  EXPECT_EQ(static_cast<int>(end), static_cast<int>(want_end));
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(static_cast<uint16_t>(got[i].kind), want[i].kind) << i;
+    EXPECT_EQ(got[i].from, want[i].from) << i;
+    EXPECT_TRUE(got[i].payload == want[i].payload) << "frame " << i;
+  }
+}
+
+TEST(FuzzDecode, FrameReaderSplitStreamsDecodeByteIdentical) {
+  const uint32_t seed = dps_testing::effective_seed(0xf7a3e1);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    Writer w;
+    for (const WireFrame& f : random_frames(rng)) {
+      put_frame(w, kFrameMagic, f, static_cast<uint32_t>(f.payload.size()));
+    }
+    expect_frame_reader_matches_reference(w.bytes(), rng);
+  }
+}
+
+TEST(FuzzDecode, FrameReaderGarbageRaisesWithoutOverAllocating) {
+  const uint32_t seed = dps_testing::effective_seed(0xf7a3e2);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (int round = 0; round < 24; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    const std::vector<WireFrame> frames = random_frames(rng);
+    Writer w;
+    for (const WireFrame& f : frames) {
+      const uint32_t pick = rng() % 8;
+      uint32_t length = static_cast<uint32_t>(f.payload.size());
+      uint32_t magic = kFrameMagic;
+      if (pick == 0) {
+        length = kMaxFrameLength + 1 + rng() % (UINT32_MAX - kMaxFrameLength);
+      } else if (pick == 1) {
+        magic ^= 1u << (rng() % 32);
+      } else if (pick == 2) {
+        // A length that runs into the next frame, but stays small: a legal
+        // claim up to kMaxFrameLength would only make the reader wait for,
+        // and allocate, that many bytes.
+        length += rng() % 4096;
+      }
+      put_frame(w, magic, f, length);
+    }
+    std::vector<std::byte> wire = w.take();
+    if (rng() % 3 == 0) wire.resize(rng() % (wire.size() + 1));  // torn
+    expect_frame_reader_matches_reference(wire, rng);
   }
 }
 

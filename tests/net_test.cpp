@@ -119,6 +119,24 @@ TEST(Framing, BadMagicRejected) {
   server.join();
 }
 
+TEST(Framing, OverlongHeaderRejectedBeforeAllocating) {
+  TcpListener listener = TcpListener::bind(0);
+  TcpConn tx = TcpConn::connect("127.0.0.1", listener.port());
+  TcpConn rx = listener.accept();
+  const uint32_t header[4] = {kFrameMagic,
+                              static_cast<uint32_t>(FrameKind::kEnvelope), 1,
+                              0xFFFFFFFFu};  // claims 4 GiB of payload
+  tx.send_all(header, sizeof(header));
+  Frame f;
+  try {
+    (void)read_frame(rx, &f);
+    FAIL() << "expected protocol error";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::kProtocol);
+  }
+  EXPECT_EQ(f.payload.capacity(), 0u);
+}
+
 TEST(Framing, WireSizeAccountsHeader) {
   Frame f;
   f.payload.resize(100);

@@ -1,11 +1,21 @@
 // Unit tests for the serialization substrate: wire reader/writer, simple
 // tokens (memcpy family), complex tokens (field-wrapper family), nesting,
-// inheritance, the registry, and Ptr<> reference counting.
+// inheritance, the registry, Ptr<> reference counting, the buffer pool, and
+// Buffer<T> storage, including decodes that adopt the received frame.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdint>
 #include <cstring>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <vector>
 
+#include "net/reliable_fabric.hpp"
+#include "net/shm_fabric.hpp"
+#include "net/tcp_transport.hpp"
 #include "serial/buffer_pool.hpp"
 #include "serial/registry.hpp"
 
@@ -408,6 +418,381 @@ TEST(BufferPoolTest, OversizedBuffersAreNotRetained) {
   pool.release(std::move(huge));
   EXPECT_EQ(pool.stats().dropped, 1u);
   pool.reset_stats();
+}
+
+TEST(BufferPoolTest, SizedAcquireReusesWithoutRefilling) {
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+
+  std::vector<std::byte> a = pool.acquire_sized(20000);
+  ASSERT_EQ(a.size(), 20000u);
+  std::memset(a.data(), 0xab, a.size());
+  const std::byte* storage = a.data();
+  pool.release(std::move(a));
+
+  // A smaller sized request shrinks the retained buffer: same storage, and
+  // the old bytes are still there because nothing refilled them.
+  std::vector<std::byte> b = pool.acquire_sized(10000);
+  EXPECT_EQ(b.size(), 10000u);
+  EXPECT_EQ(b.data(), storage);
+  EXPECT_EQ(b[0], std::byte{0xab});
+  EXPECT_EQ(b[9999], std::byte{0xab});
+  EXPECT_EQ(pool.stats().reuses, 1u);
+  pool.release(std::move(b));
+
+  // A retained buffer keeps its size, but acquire() still hands out an
+  // empty vector.
+  std::vector<std::byte> c = pool.acquire(100);
+  EXPECT_TRUE(c.empty());
+  EXPECT_EQ(c.data(), storage);
+  EXPECT_EQ(pool.stats().reuses, 2u);
+  c.assign(18, std::byte{0x11});  // a small header in the large buffer
+
+  std::vector<std::byte> full = pool.acquire_sized(30000);
+  const std::byte* full_storage = full.data();
+  std::memset(full.data(), 0xcd, full.size());
+  pool.release(std::move(c));
+  pool.release(std::move(full));
+
+  // A sized request takes a buffer whose bytes already cover it, not the
+  // smaller-capacity one that would need 19982 bytes refilled.
+  std::vector<std::byte> d = pool.acquire_sized(20000);
+  EXPECT_EQ(d.data(), full_storage);
+  EXPECT_EQ(d[19999], std::byte{0xcd});
+
+  // With none that covers it, a shorter buffer is topped up: the bytes
+  // past its size are zero-filled, never stale.
+  std::vector<std::byte> f = pool.acquire_sized(20000);
+  EXPECT_EQ(f.data(), storage);
+  EXPECT_EQ(f[17], std::byte{0x11});
+  EXPECT_EQ(f[18], std::byte{0});
+  EXPECT_EQ(f[19999], std::byte{0});
+  EXPECT_EQ(pool.stats().reuses, 4u);
+  pool.release(std::move(d));
+  pool.release(std::move(f));
+  pool.trim();
+  pool.reset_stats();
+}
+
+// --- Buffer<T> storage ---------------------------------------------------------
+
+class SBytesTok : public ComplexToken {
+ public:
+  Buffer<uint8_t> bytes;
+  DPS_IDENTIFY(SBytesTok);
+};
+
+class SOddWordsTok : public ComplexToken {
+ public:
+  CT<uint8_t> pad;  // type id (8) + pad (1) + count (8): the run is at 17
+  Buffer<uint32_t> words;
+  DPS_IDENTIFY(SOddWordsTok);
+};
+
+class SOddDoublesTok : public ComplexToken {
+ public:
+  CT<uint8_t> pad;
+  Buffer<double> values;
+  DPS_IDENTIFY(SOddDoublesTok);
+};
+
+class SWordsTok : public ComplexToken {
+ public:
+  Buffer<uint32_t> words;  // type id (8) + count (8): the run is at 16
+  DPS_IDENTIFY(SWordsTok);
+};
+
+/// A large Buffer that is not the token's tail.
+class SNotTailTok : public ComplexToken {
+ public:
+  Buffer<uint8_t> bytes;
+  CT<int32_t> after;
+  DPS_IDENTIFY(SNotTailTok);
+};
+
+/// A large Buffer tail behind an even larger string.
+class SMinorityTailTok : public ComplexToken {
+ public:
+  CT<std::string> head;
+  Buffer<uint8_t> bytes;
+  DPS_IDENTIFY(SMinorityTailTok);
+};
+
+constexpr size_t kBig = 3 * kPooledBlockBytes;
+
+/// An exact-size frame, like the ones the receive paths hand out.
+std::vector<std::byte> encode(const Token& t) {
+  std::vector<std::byte> buf;
+  buf.reserve(serialized_token_size(t));
+  Writer w(std::move(buf));
+  serialize_token(t, w);
+  return w.take();
+}
+
+/// Decodes `frame` through an adoptable reader; *adopted reports whether
+/// the token took the frame's storage.
+template <class T>
+Ptr<T> decode_adoptable(std::vector<std::byte> frame, bool* adopted) {
+  Reader r = Reader::adoptable(frame);
+  Ptr<T> out = token_cast<T>(deserialize_token(r));
+  EXPECT_TRUE(r.at_end());
+  *adopted = frame.empty();
+  return out;
+}
+
+Ptr<SBytesTok> big_bytes_token(size_t n) {
+  Ptr<SBytesTok> t(new SBytesTok());
+  t->bytes.resize(n);
+  for (size_t i = 0; i < n; ++i) t->bytes[i] = static_cast<uint8_t>(i * 7);
+  return t;
+}
+
+TEST(BufferStorage, CopyOfAnAdoptedBufferIsDeep) {
+  bool adopted = false;
+  Ptr<SBytesTok> t =
+      decode_adoptable<SBytesTok>(encode(*big_bytes_token(kBig)), &adopted);
+  ASSERT_TRUE(adopted);
+  SBytesTok copy(*t);
+  Buffer<uint8_t> assigned;
+  assigned = t->bytes;
+  copy.bytes[0] = 0xee;
+  assigned[1] = 0xdd;
+  EXPECT_EQ(t->bytes[0], 0);
+  EXPECT_EQ(t->bytes[1], 7);
+  t->bytes[2] = 0xcc;
+  EXPECT_EQ(copy.bytes[2], 14);
+  EXPECT_EQ(assigned[2], 14);
+  EXPECT_NE(copy.bytes.data(), t->bytes.data());
+  for (size_t i = 3; i < kBig; ++i) {
+    ASSERT_EQ(copy.bytes[i], static_cast<uint8_t>(i * 7)) << i;
+  }
+}
+
+struct SDefaulted {
+  int32_t x = 7;
+  int32_t y = -3;
+};
+
+TEST(BufferStorage, ResizeValueInitializesOverRecycledBytes) {
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  // Leave stale bytes in the pool for the resizes below to pick up.
+  for (int i = 0; i < 2; ++i) {
+    std::vector<std::byte> junk = pool.acquire_sized(16 * kPooledBlockBytes);
+    std::memset(junk.data(), 0x5a, junk.size());
+    pool.release(std::move(junk));
+  }
+
+  Buffer<SDefaulted> d;
+  d.resize(3);
+  d.resize(kPooledBlockBytes);  // a pooled block: stale bytes underneath
+  for (const SDefaulted& e : d) {
+    ASSERT_EQ(e.x, 7);
+    ASSERT_EQ(e.y, -3);
+  }
+  Buffer<uint8_t> b(kPooledBlockBytes);
+  for (uint8_t v : b) ASSERT_EQ(v, 0);
+  pool.trim();
+}
+
+TEST(BufferStorage, PushBackGrowsAcrossThePoolThreshold) {
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+  Buffer<uint32_t> b;
+  const size_t n = kPooledBlockBytes;  // 4 * n bytes in the end
+  for (size_t i = 0; i < n; ++i) {
+    b.push_back(static_cast<uint32_t>(i * 3));
+    if (i == 1000) {  // 1024 elements of capacity: 4 kB
+      EXPECT_EQ(pool.stats().acquires, 0u) << "small blocks skip the pool";
+    }
+  }
+  ASSERT_EQ(b.size(), n);
+  for (size_t i = 0; i < n; ++i) ASSERT_EQ(b[i], i * 3) << i;
+  EXPECT_GT(pool.stats().acquires, 0u) << "large blocks come from the pool";
+  b.push_back(b[0]);  // the argument lives in the block a regrow replaces
+  EXPECT_EQ(b[n], 0u);
+  pool.trim();
+  pool.reset_stats();
+}
+
+TEST(BufferStorage, AssignAndClear) {
+  const int src[] = {1, 2, 3, 4, 5};
+  Buffer<int> b;
+  b.assign(src, src + 5);
+  ASSERT_EQ(b.size(), 5u);
+  EXPECT_EQ(b[4], 5);
+  b.assign(b.begin() + 1, b.end());  // overlapping, inside the block
+  ASSERT_EQ(b.size(), 4u);
+  EXPECT_EQ(b[0], 2);
+  EXPECT_EQ(b[3], 5);
+  std::vector<int> big(kBig / sizeof(int));
+  for (size_t i = 0; i < big.size(); ++i) big[i] = static_cast<int>(i);
+  b.assign(big.data(), big.data() + big.size());
+  ASSERT_EQ(b.size(), big.size());
+  EXPECT_EQ(b[big.size() - 1], static_cast<int>(big.size() - 1));
+  b.clear();
+  EXPECT_TRUE(b.empty());
+  EXPECT_EQ(b.begin(), b.end());
+  b.push_back(42);
+  ASSERT_EQ(b.size(), 1u);
+  EXPECT_EQ(b[0], 42);
+  b.assign(src, src);
+  EXPECT_TRUE(b.empty());
+}
+
+TEST(BufferStorage, MisalignedTailsAreCopiedNotAdopted) {
+  bool adopted = true;
+  SOddWordsTok w;
+  w.words.resize(kBig / sizeof(uint32_t));
+  for (size_t i = 0; i < w.words.size(); ++i) w.words[i] = 0x01020304u * i;
+  Ptr<SOddWordsTok> wb = decode_adoptable<SOddWordsTok>(encode(w), &adopted);
+  EXPECT_FALSE(adopted) << "a u32 run at an odd offset must be copied";
+  ASSERT_EQ(wb->words.size(), w.words.size());
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(wb->words.data()) % alignof(uint32_t),
+            0u);
+  for (size_t i = 0; i < w.words.size(); ++i) {
+    ASSERT_EQ(wb->words[i], w.words[i]) << i;
+  }
+
+  SOddDoublesTok d;
+  d.values.resize(kBig / sizeof(double));
+  for (size_t i = 0; i < d.values.size(); ++i) d.values[i] = 0.5 * i;
+  adopted = true;
+  Ptr<SOddDoublesTok> db = decode_adoptable<SOddDoublesTok>(encode(d), &adopted);
+  EXPECT_FALSE(adopted) << "a double run at an odd offset must be copied";
+  for (size_t i = 0; i < d.values.size(); ++i) {
+    ASSERT_EQ(db->values[i], d.values[i]) << i;
+  }
+
+  // The same run at an aligned offset is adopted.
+  SWordsTok a;
+  a.words.assign(w.words.begin(), w.words.end());
+  Ptr<SWordsTok> ab = decode_adoptable<SWordsTok>(encode(a), &adopted);
+  EXPECT_TRUE(adopted);
+  for (size_t i = 0; i < a.words.size(); ++i) {
+    ASSERT_EQ(ab->words[i], a.words[i]) << i;
+  }
+}
+
+TEST(BufferStorage, OnlyALargeTailThatIsMostOfTheFrameIsAdopted) {
+  bool adopted = true;
+  (void)decode_adoptable<SBytesTok>(
+      encode(*big_bytes_token(kPooledBlockBytes - 1)), &adopted);
+  EXPECT_FALSE(adopted) << "below the threshold";
+
+  SNotTailTok nt;
+  nt.bytes.resize(kBig);
+  nt.after = 5;
+  Ptr<SNotTailTok> ntb = decode_adoptable<SNotTailTok>(encode(nt), &adopted);
+  EXPECT_FALSE(adopted) << "not the frame's tail";
+  EXPECT_EQ(ntb->after.get(), 5);
+
+  SMinorityTailTok mt;
+  mt.head = std::string(kBig + 64, 'h');
+  mt.bytes.resize(kBig);
+  (void)decode_adoptable<SMinorityTailTok>(encode(mt), &adopted);
+  EXPECT_FALSE(adopted) << "less than half the frame";
+
+  mt.head = std::string(kBig - 64, 'h');
+  (void)decode_adoptable<SMinorityTailTok>(encode(mt), &adopted);
+  EXPECT_TRUE(adopted) << "at least half the frame";
+
+  // Half of the frame's allocation, not of its bytes: a run in a buffer
+  // over twice its size would pin the spare capacity.
+  std::vector<std::byte> roomy = encode(*big_bytes_token(kBig));
+  roomy.reserve(3 * roomy.size());
+  (void)decode_adoptable<SBytesTok>(std::move(roomy), &adopted);
+  EXPECT_FALSE(adopted) << "less than half the frame's capacity";
+
+  // A plain reader never adopts.
+  const std::vector<std::byte> frame = encode(*big_bytes_token(kBig));
+  Reader r(frame);
+  Ptr<SBytesTok> t = token_cast<SBytesTok>(deserialize_token(r));
+  const std::byte* first = frame.data();
+  const auto* at = reinterpret_cast<const std::byte*>(t->bytes.data());
+  EXPECT_TRUE(at < first || at >= first + frame.size());
+}
+
+TEST(BufferStorage, AdoptedFrameReturnsToThePoolWhenItsTokenDies) {
+  std::vector<std::byte> frame = encode(*big_bytes_token(kBig));
+  const std::byte* storage = frame.data();
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();  // drops the source token's block
+  pool.reset_stats();
+  bool adopted = false;
+  Ptr<SBytesTok> t = decode_adoptable<SBytesTok>(std::move(frame), &adopted);
+  ASSERT_TRUE(adopted);
+  EXPECT_EQ(pool.stats().releases, 0u);
+  t.reset();
+  EXPECT_EQ(pool.stats().releases, 1u);
+  // The next large request gets the frame's storage back.
+  std::vector<std::byte> again = pool.acquire_sized(kBig);
+  EXPECT_EQ(again.data(), storage);
+  pool.release(std::move(again));
+  pool.trim();
+  pool.reset_stats();
+}
+
+// --- Adopt on receive over the fabrics ----------------------------------------
+
+/// Sends one large token from node 0 to node 1. Node 1 decodes it inside
+/// its delivery handler through an adoptable reader, as the controller
+/// does; the token must stay intact after the handler returned and the
+/// fabric shut down, when its NodeMessage is long gone.
+void expect_adopted_token_outlives_its_message(Fabric& fabric) {
+  // A frame is adopted only from a buffer at most twice its size; start
+  // from an empty pool so no larger leftover takes the frame.
+  BufferPool::instance().trim();
+  std::mutex mu;
+  std::condition_variable cv;
+  Ptr<SBytesTok> got;
+  bool adopted = false;
+  fabric.attach_batch(0, [](std::vector<NodeMessage>&&) {});
+  fabric.attach_batch(1, [&](std::vector<NodeMessage>&& msgs) {
+    for (NodeMessage& m : msgs) {
+      if (m.kind != FrameKind::kEnvelope) continue;
+      Reader r = Reader::adoptable(m.payload);
+      Ptr<SBytesTok> t = token_cast<SBytesTok>(deserialize_token(r));
+      std::lock_guard<std::mutex> lock(mu);
+      adopted = m.payload.empty();
+      got = std::move(t);
+      cv.notify_all();
+    }
+  });
+  fabric.send(0, 1, FrameKind::kEnvelope, encode(*big_bytes_token(kBig)));
+  bool arrived = false;
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    arrived = cv.wait_for(lock, std::chrono::seconds(10),
+                          [&] { return got.get() != nullptr; });
+  }
+  fabric.shutdown();
+  ASSERT_TRUE(arrived);
+  EXPECT_TRUE(adopted);
+  ASSERT_EQ(got->bytes.size(), kBig);
+  for (size_t i = 0; i < kBig; ++i) {
+    ASSERT_EQ(got->bytes[i], static_cast<uint8_t>(i * 7)) << i;
+  }
+}
+
+TEST(AdoptOnReceive, TokenOutlivesItsMessageOverTcp) {
+  TcpFabric fabric(2);
+  expect_adopted_token_outlives_its_message(fabric);
+}
+
+TEST(AdoptOnReceive, TokenOutlivesItsMessageOverShm) {
+  if (!shm_available()) GTEST_SKIP() << "POSIX shared memory unavailable";
+  ShmFabric fabric(2);
+  expect_adopted_token_outlives_its_message(fabric);
+}
+
+TEST(AdoptOnReceive, TokenOutlivesItsMessageOverReliableFabric) {
+  FaultToleranceConfig ft;
+  ft.reliable = true;
+  ReliableFabric fabric(std::make_shared<TcpFabric>(2), 2, ft);
+  expect_adopted_token_outlives_its_message(fabric);
 }
 
 }  // namespace
