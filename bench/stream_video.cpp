@@ -18,9 +18,9 @@
 //     (--slo-ms, default 50 ms — generous for shared 1-core CI hosts;
 //     a quiet multi-core box sits well under 5 ms).
 //
-// When the flight recorder is compiled in (DPS_TRACE=ON), the bench also
-// drains the trace and reports per-stage execute intervals straight from
-// the recorder, labeled separately from the in-token stamps.
+// The bench runs with the flight recorder enabled, drains the trace and
+// reports per-stage execute intervals straight from the recorder, labeled
+// separately from the in-token stamps.
 //
 // Usage: stream_video [frames_per_phase] [--rates r1,r2,...]
 //                     [--frame-bytes N] [--slo-ms M] [--nodes N]
@@ -36,10 +36,8 @@
 
 #include "apps/stream.hpp"
 #include "bench_json.hpp"
-#ifdef DPS_TRACE
 #include "obs/trace.hpp"
 #include "obs/trace_query.hpp"
-#endif
 
 using namespace dps;
 
@@ -57,7 +55,6 @@ std::vector<double> parse_rates(const std::string& s) {
   return out;
 }
 
-#ifdef DPS_TRACE
 /// p50/p99 of operation execute intervals per stage collection, straight
 /// from the flight recorder (grouped by the worker thread-name prefix).
 void report_recorder_stages() {
@@ -84,7 +81,6 @@ void report_recorder_stages() {
                 ms.size(), pick(0.50), pick(0.99));
   }
 }
-#endif
 
 }  // namespace
 
@@ -134,9 +130,7 @@ int main(int argc, char** argv) {
             << job->decode_passes << "/" << job->analyze_passes << "/"
             << job->encode_passes << " sweeps (decode/analyze/encode)\n";
 
-#ifdef DPS_TRACE
   obs::Trace::instance().set_enabled(true);
-#endif
 
   Cluster cluster(ClusterConfig::inproc(nodes));
   Application app(cluster, "stream");
@@ -206,13 +200,7 @@ int main(int argc, char** argv) {
     ++violations;
   }
 
-#ifdef DPS_TRACE
   report_recorder_stages();
-#else
-  std::cout << "\n(flight recorder not compiled in; latencies above are "
-               "in-token domain-time stamps — build with -DDPS_TRACE=ON for "
-               "recorder-sourced stage intervals)\n";
-#endif
 
   std::cout << "\nchecksum " << std::hex << done->checksum_xor << std::dec
             << (done->checksum_xor == expected ? " (verified)" : " (WRONG)")

@@ -6,11 +6,10 @@
 //
 // Usage: quickstart [--trace out.json] [nodes] [text...]
 //
-// With --trace (and a build configured with -DDPS_TRACE=ON, e.g. the
-// `trace` CMake preset) the run is recorded by the flight recorder and
-// written as Chrome tracing JSON: open chrome://tracing or
-// https://ui.perfetto.dev and load the file to see the split, the
-// round-robin leaf executions, and the collecting merge overlap in time.
+// With --trace the run is recorded by the flight recorder and written as
+// Chrome tracing JSON: open chrome://tracing or https://ui.perfetto.dev and
+// load the file to see the split, the round-robin leaf executions, and the
+// collecting merge overlap in time.
 #include <cctype>
 #include <cstring>
 #include <fstream>
@@ -114,11 +113,6 @@ int main(int argc, char** argv) {
   if (arg + 1 < argc && std::strcmp(argv[arg], "--trace") == 0) {
     trace_path = argv[arg + 1];
     arg += 2;
-    if (!dps::obs::kTraceCompiled) {
-      std::cerr << "warning: built without DPS_TRACE; the trace will only "
-                   "contain events from always-on sites (configure with the "
-                   "`trace` preset for full instrumentation)\n";
-    }
     dps::obs::Trace::instance().configure(
         {/*enabled=*/true, /*sample_every=*/1, /*buffer_capacity=*/1u << 16});
   }

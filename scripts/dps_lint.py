@@ -26,9 +26,8 @@ sanitizers can express:
                       an exemption whose rationale no longer applies (same
                       spirit as the dead-tsan-filter rule).
 
-Trace gating (formerly rule 2 here) moved to scripts/dps_verify.py, which
-verifies it against the file's real preprocessor conditional structure
-instead of a line regex.
+There is no trace-gating rule: the flight recorder is compiled into every
+build, and obs::Trace::set_enabled is its only switch.
 
 Exit status 0 = clean; 1 = findings (printed one per line).
 """

@@ -3,8 +3,8 @@
 
 Where `scripts/dps_lint.py` pattern-matches lines, this tool understands
 statements: it parses every translation unit named by compile_commands.json
-into a small function/statement IR and runs four semantic checks over it,
-each targeting a bug class this repo has actually shipped:
+into a small function/statement IR and runs three semantic checks over
+it, each targeting a bug class this repo has actually shipped:
 
   1. lock-order      build the cross-TU lock acquisition graph over
                      dps::Mutex / dps::MutexLock (seeded by DPS_REQUIRES
@@ -25,14 +25,6 @@ each targeting a bug class this repo has actually shipped:
                      silently dropped (statement-expression calls outside
                      the allowlist; `(void)call()` is the sanctioned
                      explicit discard).
-  4. trace-gate      preprocessor-record-accurate verification that every
-                     flight-recorder touch outside src/obs/ is compiled
-                     out when DPS_TRACE is undefined. Unlike the retired
-                     dps_lint regex rule this evaluates the real
-                     conditional structure (#if defined(DPS_TRACE) && ...,
-                     #elif, #else, nesting) with three-valued logic, so a
-                     touch that is only *possibly* live in a trace-off
-                     build is still a finding.
 
 Frontends. With the clang python bindings installed (`import clang.cindex`)
 the IR is lowered from the real clang AST using the exact flags recorded in
@@ -59,7 +51,7 @@ import sys
 # --------------------------------------------------------------------------
 # Allowlists. Key: "check:file:symbol" (file repo-relative, symbol = the
 # qualified function for protocol/discard findings, the cycle's sorted node
-# list for lock-order, the touched symbol for trace-gate). Value: reason.
+# list for lock-order). Value: reason.
 # An entry that stops matching any finding is itself a finding (dead
 # allowlist entries rot; same policy as dps_lint's TSAN_OPT_OUT).
 # --------------------------------------------------------------------------
@@ -121,12 +113,6 @@ PROTOCOLS = [
 # whose catch-all releases (directly, or via a one-call cleanup helper).
 MAY_RAISE = {"flow_acquire", "send_now", "route_and_send", "raise",
              "acquire_collective_credit"}
-
-# Trace-API touches that must vanish from trace-off builds (check 4).
-TRACE_TOUCH_TOKENS = {"Trace", "tracing_active", "trace_clock_ns"}
-# `Trace` alone is too broad; require the qualified forms below.
-TRACE_TOUCH_RE = re.compile(
-    r"\bTrace::instance\b|\bobs::tracing_active\b|\bobs::trace_clock_ns\b")
 
 CPP_EXTS = (".cpp", ".cc", ".cxx")
 HDR_EXTS = (".hpp", ".h", ".hh")
@@ -223,7 +209,7 @@ def lex(text):
 
 
 # ==========================================================================
-# Preprocessor view (fallback frontend) — the "record" of check 4
+# Preprocessor view (fallback frontend)
 # ==========================================================================
 
 PP_DIRECTIVE = re.compile(r"^\s*#\s*(\w+)\b(.*)$")
@@ -322,77 +308,52 @@ def eval_pp_cond(expr, defines):
     return parse_or()
 
 
-class PpView:
-    """One pass over a file's preprocessor structure.
-
-    Produces (a) `parse_text`: the single-branch view used by the fallback
-    parser (conditions with DPS_TRACE undefined; unknown macros take their
-    first branch so braces stay balanced), and (b) `possibly_active`: per
-    line, whether it can survive preprocessing in a trace-off build — the
-    record the trace-gate check reads.
-    """
-
-    def __init__(self, text, defines=None):
-        self.defines = dict(defines or {})
-        self.defines.setdefault("DPS_TRACE", False)
-        lines = text.split("\n")
-        kept = []
-        self.possibly_active = []
-        # Frames: [taken_now, seen_true, possible_now, seen_possible]
-        stack = []
-        for raw in lines:
-            m = PP_DIRECTIVE.match(raw)
-            parent_taken = all(f[0] for f in stack)
-            parent_possible = all(f[2] != F for f in stack)
-            if m:
-                d, rest = m.group(1), m.group(2)
-                if d in ("if", "ifdef", "ifndef"):
-                    if d == "ifdef":
-                        v = eval_pp_cond(f"defined({rest.strip()})",
-                                        self.defines)
-                    elif d == "ifndef":
-                        v = eval_pp_cond(f"!defined({rest.strip()})",
-                                        self.defines)
-                    else:
-                        v = eval_pp_cond(rest, self.defines)
-                    taken = parent_taken and v != F
-                    stack.append([taken, taken, v, v])
-                elif d == "elif":
-                    if stack:
-                        f = stack[-1]
-                        v = eval_pp_cond(rest, self.defines)
-                        f[0] = parent_taken_of(stack) and not f[1] and v != F
-                        f[1] = f[1] or f[0]
-                        # possible: this branch possible if no earlier branch
-                        # was definitely taken and v may hold
-                        f[2] = F if f[3] == T else v
-                        if f[2] == T:
-                            f[3] = T
-                        elif f[2] == U and f[3] == F:
-                            f[3] = U
-                elif d == "else":
-                    if stack:
-                        f = stack[-1]
-                        f[0] = parent_taken_of(stack) and not f[1]
-                        f[1] = True
-                        f[2] = {T: F, F: T, U: U}[f[3]]
-                elif d == "endif":
-                    if stack:
-                        stack.pop()
-                elif d == "define" and parent_taken:
-                    name = rest.strip().split("(")[0].split()[0] \
-                        if rest.strip() else ""
-                    if name:
-                        self.defines.setdefault(name, True)
-                # Directive lines never carry code.
-                kept.append("")
-                self.possibly_active.append(False)
-                continue
-            taken = all(f[0] for f in stack)
-            possible = all(f[2] != F for f in stack)
-            kept.append(raw if taken else "")
-            self.possibly_active.append(possible)
-        self.parse_text = "\n".join(kept)
+def single_branch_text(text):
+    """The view of `text` the fallback parser reads: lines of a conditional
+    branch that is known not taken are blanked, and unknown macros take
+    their first branch so braces stay balanced. Line numbers are kept."""
+    defines = {}
+    kept = []
+    # Frames: [taken_now, seen_true]
+    stack = []
+    for raw in text.split("\n"):
+        m = PP_DIRECTIVE.match(raw)
+        parent_taken = all(f[0] for f in stack)
+        if m:
+            d, rest = m.group(1), m.group(2)
+            if d in ("if", "ifdef", "ifndef"):
+                if d == "ifdef":
+                    v = eval_pp_cond(f"defined({rest.strip()})", defines)
+                elif d == "ifndef":
+                    v = eval_pp_cond(f"!defined({rest.strip()})", defines)
+                else:
+                    v = eval_pp_cond(rest, defines)
+                taken = parent_taken and v != F
+                stack.append([taken, taken])
+            elif d == "elif":
+                if stack:
+                    f = stack[-1]
+                    v = eval_pp_cond(rest, defines)
+                    f[0] = parent_taken_of(stack) and not f[1] and v != F
+                    f[1] = f[1] or f[0]
+            elif d == "else":
+                if stack:
+                    f = stack[-1]
+                    f[0] = parent_taken_of(stack) and not f[1]
+                    f[1] = True
+            elif d == "endif":
+                if stack:
+                    stack.pop()
+            elif d == "define" and parent_taken:
+                name = rest.strip().split("(")[0].split()[0] \
+                    if rest.strip() else ""
+                if name:
+                    defines.setdefault(name, True)
+            # Directive lines never carry code.
+            kept.append("")
+            continue
+        kept.append(raw if parent_taken else "")
+    return "\n".join(kept)
 
 
 def parent_taken_of(stack):
@@ -494,16 +455,14 @@ class TU:
 # Fallback frontend: parsing
 # ==========================================================================
 
-def parse_file(root, path, defines=None):
+def parse_file(root, path):
     with open(os.path.join(root, path), encoding="utf-8",
               errors="replace") as f:
         raw = f.read()
-    stripped = strip_comments(raw)
-    view = PpView(stripped, defines)
-    toks = lex(view.parse_text)
+    toks = lex(single_branch_text(strip_comments(raw)))
     tu = TU(path)
     _scan_top(toks, 0, len(toks), tu, [], path)
-    return tu, view
+    return tu
 
 
 def _match_paren(toks, i, open_c="(", close_c=")"):
@@ -1214,7 +1173,7 @@ def try_libclang():
 
 
 def parse_with_libclang(ci, root, path, args):
-    """Lower a clang AST into the shared IR. Returns (TU, PpView)."""
+    """Lower a clang AST into the shared IR. Returns a TU."""
     idx = ci.Index.create()
     opts = ci.TranslationUnit.PARSE_DETAILED_PROCESSING_RECORD
     tu_c = idx.parse(os.path.join(root, path), args=args, options=opts)
@@ -1383,12 +1342,7 @@ def parse_with_libclang(ci, root, path, args):
                 tu.functions.append(fn)
 
     walk_decls(tu_c.cursor, "")
-    # PpView still comes from the text (the conditional structure is what
-    # the trace-gate check needs; the preprocessing record validates it).
-    with open(os.path.join(root, path), encoding="utf-8",
-              errors="replace") as f:
-        view = PpView(strip_comments(f.read()))
-    return tu, view
+    return tu
 
 
 # ==========================================================================
@@ -1512,11 +1466,17 @@ class LockOrder:
         how bogus self-deadlock edges appear. With a receiver we resolve
         its static type through locals/params/members and only match
         methods of that class; an unresolvable receiver propagates nothing
-        (documented under-approximation, see docs/STATIC_ANALYSIS.md)."""
+        (documented under-approximation, see docs/STATIC_ANALYSIS.md).
+        A bare call to a name bound in the caller (a local lambda or
+        callable parameter) is that local, never another class's member."""
         cands = self.fn_by_name.get(call.name, [])
         if not cands:
             return []
         recv = (call.recv or "").strip()
+        local_types = getattr(caller, "_local_types", {})
+        if not recv and (call.name in local_types or
+                         call.name in caller.params):
+            return []
         if not recv:
             same_cls = [f for f in cands if f.cls == caller.cls]
             if same_cls:
@@ -1533,7 +1493,6 @@ class LockOrder:
         base = re.split(r"\.|->|::", recv)[0].strip("*& ")
         if not re.fullmatch(r"[A-Za-z_]\w*", base):
             return []
-        local_types = getattr(caller, "_local_types", {})
         bty = None
         if base == "this":
             bty = caller.cls
@@ -2078,36 +2037,6 @@ def check_discard(tus, findings, verbose=False):
 
 
 # ==========================================================================
-# Check 4: trace gating (preprocessor-record based)
-# ==========================================================================
-
-def check_trace_gate(root, paths, findings, views, verbose=False):
-    for path in paths:
-        if path.startswith("src/obs/") or not path.startswith("src/"):
-            continue
-        view = views.get(path)
-        if view is None:
-            continue
-        with open(os.path.join(root, path), encoding="utf-8",
-                  errors="replace") as f:
-            text = strip_comments(f.read())
-        for lineno, line in enumerate(text.split("\n"), 1):
-            m = TRACE_TOUCH_RE.search(line)
-            if not m:
-                continue
-            if lineno - 1 < len(view.possibly_active) and \
-                    view.possibly_active[lineno - 1]:
-                fid = f"trace-gate:{path}:{m.group(0)}"
-                findings.append(
-                    (fid,
-                     f"{path}:{lineno}: trace-gate: '{m.group(0)}' can "
-                     f"survive preprocessing with DPS_TRACE undefined "
-                     f"(checked against the file's real conditional "
-                     f"structure, not a line regex) — wrap it in #ifdef "
-                     f"DPS_TRACE or use DPS_TRACE_EVENT"))
-
-
-# ==========================================================================
 # Driver
 # ==========================================================================
 
@@ -2146,23 +2075,21 @@ def collect_sources(root, cc_path):
 
 
 def analyze(root, paths, frontend, ci, cc_args=None, verbose=False):
-    """Parse `paths` and return (tus, views)."""
+    """Parse `paths` and return their TUs."""
     tus = []
-    views = {}
     for p in paths:
         if frontend == "libclang" and ci is not None and p.endswith(CPP_EXTS):
             try:
-                tu, view = parse_with_libclang(
+                tu = parse_with_libclang(
                     ci, root, p, (cc_args or {}).get(p, []))
             except Exception as e:  # pragma: no cover — env specific
                 if verbose:
                     print(f"  libclang failed on {p} ({e}); falling back",
                           file=sys.stderr)
-                tu, view = parse_file(root, p)
+                tu = parse_file(root, p)
         else:
-            tu, view = parse_file(root, p)
+            tu = parse_file(root, p)
         tus.append(tu)
-        views[p] = view
     # Merge class tables across TUs so x.mu resolves cross-TU.
     merged = {}
     for tu in tus:
@@ -2170,10 +2097,10 @@ def analyze(root, paths, frontend, ci, cc_args=None, verbose=False):
             merged.setdefault(c, {}).update(mem)
     for tu in tus:
         tu.classes = merged
-    return tus, views
+    return tus
 
 
-def run_checks(root, tus, views, paths, dot_path, checks, verbose):
+def run_checks(root, tus, dot_path, checks, verbose):
     findings = []
     if "lock-order" in checks:
         check_lock_order(tus, findings, dot_path, root, verbose)
@@ -2181,8 +2108,6 @@ def run_checks(root, tus, views, paths, dot_path, checks, verbose):
         check_protocol(tus, findings, verbose)
     if "discard" in checks:
         check_discard(tus, findings, verbose)
-    if "trace-gate" in checks:
-        check_trace_gate(root, paths, findings, views, verbose)
     # Apply the allowlist; track which entries matched.
     used = set()
     out = []
@@ -2216,22 +2141,11 @@ def run_fixtures(root, fixture_dir, frontend, ci, verbose):
         with open(os.path.join(root, relp), encoding="utf-8") as f:
             raw = f.read()
         expects = EXPECT_RE.findall(raw)
-        tus, views = analyze(root, [relp], frontend, ci, verbose=verbose)
-        # Fixtures live outside src/ — run trace-gate on them explicitly.
+        tus = analyze(root, [relp], frontend, ci, verbose=verbose)
         findings = []
         check_lock_order(tus, findings, None, root, verbose)
         check_protocol(tus, findings, verbose)
         check_discard(tus, findings, verbose)
-        view = views[relp]
-        with open(os.path.join(root, relp), encoding="utf-8") as f:
-            text = strip_comments(f.read())
-        for lineno, line in enumerate(text.split("\n"), 1):
-            m = TRACE_TOUCH_RE.search(line)
-            if m and view.possibly_active[lineno - 1]:
-                findings.append(
-                    (f"trace-gate:{relp}:{m.group(0)}",
-                     f"{relp}:{lineno}: trace-gate: '{m.group(0)}' can "
-                     f"survive preprocessing with DPS_TRACE undefined"))
         msgs = [m for _fid, m in findings]
         if fname.startswith("pass_"):
             if msgs:
@@ -2275,8 +2189,7 @@ def main():
                     default="auto")
     ap.add_argument("--dot", default=None,
                     help="write the lock acquisition graph here as DOT")
-    ap.add_argument("--checks", default="lock-order,protocol,discard,"
-                    "trace-gate")
+    ap.add_argument("--checks", default="lock-order,protocol,discard")
     ap.add_argument("--check-fixtures", default=None, metavar="DIR",
                     help="run the known-bad fixture corpus and assert "
                          "every expected diagnostic")
@@ -2332,12 +2245,12 @@ def main():
         paths = cpps + hdrs
     checks = set(args.checks.split(","))
 
-    tus, views = analyze(root, paths, frontend, ci, cc_args, args.verbose)
+    tus = analyze(root, paths, frontend, ci, cc_args, args.verbose)
     nfun = sum(len(t.functions) for t in tus)
     if args.verbose:
         print(f"  parsed {len(tus)} file(s), {nfun} function bodies",
               file=sys.stderr)
-    msgs = run_checks(root, tus, views, paths, args.dot, checks, args.verbose)
+    msgs = run_checks(root, tus, args.dot, checks, args.verbose)
 
     if msgs:
         for m in msgs:

@@ -2,8 +2,7 @@
 # Tier-1 verification: full build + test suite, then the concurrency-heavy
 # net/core subset rebuilt and re-run under ThreadSanitizer (the tsan test
 # preset selects that subset; see CMakePresets.json), the full suite under
-# AddressSanitizer+UBSan, the observability subset with the flight recorder
-# compiled in (DPS_TRACE=ON), the DPS-specific lint pass, the dps_verify
+# AddressSanitizer+UBSan, the DPS-specific lint pass, the dps_verify
 # AST-level protocol/lock-order stage, and — when clang is installed — the
 # Clang Thread Safety Analysis build (-Werror) and a clang-tidy sweep whose
 # WarningsAsErrors subset is fatal. docs/STATIC_ANALYSIS.md describes each
@@ -12,7 +11,6 @@
 # Usage: scripts/tier1.sh            # everything
 #        DPS_SKIP_TSAN=1 scripts/tier1.sh    # skip the TSan stage
 #        DPS_SKIP_ASAN=1 scripts/tier1.sh    # skip the ASan+UBSan stage
-#        DPS_SKIP_TRACE=1 scripts/tier1.sh   # skip the DPS_TRACE=ON stage
 #        DPS_SKIP_ANALYZE=1 scripts/tier1.sh # skip -Wthread-safety (clang)
 #        DPS_SKIP_TIDY=1 scripts/tier1.sh    # skip clang-tidy
 #        DPS_SKIP_VERIFY=1 scripts/tier1.sh  # skip the dps_verify AST stage
@@ -92,7 +90,7 @@ else
       python3 scripts/dps_verify.py \
         --compile-commands build-cc/compile_commands.json \
         --dot docs/lock_order.dot; then
-    pass "verify-ast (fixture corpus + lock-order/protocol/discard/trace-gate over src/)"
+    pass "verify-ast (fixture corpus + lock-order/protocol/discard over src/)"
   else
     fail "verify-ast"
   fi
@@ -126,15 +124,6 @@ elif run_preset asan-ubsan; then
   pass "asan-ubsan (full suite)"
 else
   fail "asan-ubsan (full suite)"
-fi
-
-# --- flight recorder compiled in -------------------------------------------
-if [ "${DPS_SKIP_TRACE:-0}" = "1" ]; then
-  skip "trace" "DPS_SKIP_TRACE=1"
-elif run_preset trace; then
-  pass "trace (DPS_TRACE=ON subset)"
-else
-  fail "trace (DPS_TRACE=ON subset)"
 fi
 
 # --- Clang Thread Safety Analysis (build-only, -Werror=thread-safety) -------

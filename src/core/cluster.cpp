@@ -9,13 +9,10 @@
 #include "net/inproc_transport.hpp"
 #include "net/shm_fabric.hpp"
 #include "net/tcp_transport.hpp"
+#include "obs/trace.hpp"
 #include "sim/scheduler.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
-
-#ifdef DPS_TRACE
-#include "obs/trace.hpp"
-#endif
 
 namespace dps {
 
@@ -371,10 +368,8 @@ void Cluster::mark_node_down(NodeId node, const std::string& reason) {
     if (down_ || !dead_.insert(node).second) return;
   }
   DPS_WARN("node '" << node_name(node) << "' declared down: " << reason);
-#ifdef DPS_TRACE
   obs::Trace::instance().record(obs::EventKind::kNodeDown, node, node, 0, 0,
                                 0);
-#endif
   // Stop retransmitting into the void, then unblock flow-control waiters
   // whose credits died with the node.
   if (reliable_) reliable_->peer_down(node);

@@ -9,13 +9,10 @@
 #include "core/cluster.hpp"
 #include "core/run_queue.hpp"
 #include "core/thread_collection.hpp"
-#include "serial/buffer_pool.hpp"
-#include "util/logging.hpp"
-
-#ifdef DPS_TRACE
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#endif
+#include "serial/buffer_pool.hpp"
+#include "util/logging.hpp"
 
 namespace dps {
 
@@ -117,18 +114,14 @@ class Controller::DeliveryBatch {
   /// Appends `n` envelopes to `w`'s inbox under one lock acquisition and
   /// wakes the worker once.
   static void append(Controller& c, Worker& w, Envelope* envs, size_t n) {
-#ifdef DPS_TRACE
     const bool t_on = obs::tracing_active();
-#endif
     MutexLock lock(w.mu);
     for (size_t i = 0; i < n; ++i) {
-#ifdef DPS_TRACE
       if (t_on) {
         obs::Trace::instance().record(obs::EventKind::kEnqueue, c.self_,
                                       envs[i].vertex, w.collection, w.index,
                                       w.inbox.size() + 1);
       }
-#endif
       w.inbox.push_back(std::move(envs[i]));
     }
     w.inbox_count.fetch_add(static_cast<uint32_t>(n),
@@ -137,14 +130,12 @@ class Controller::DeliveryBatch {
       w.depth_slot->fetch_add(static_cast<uint32_t>(n),
                               std::memory_order_relaxed);
     }
-#ifdef DPS_TRACE
     if (t_on) {
       static obs::Gauge& depth_gauge =
           obs::Metrics::instance().gauge("dps.queue.depth");
       depth_gauge.set(static_cast<int64_t>(w.inbox.size()));
       depth_gauge.update_max(static_cast<int64_t>(w.inbox.size()));
     }
-#endif
     c.cluster_.domain().notify_all(w.wp);
   }
 
@@ -175,7 +166,6 @@ class Controller::ExecCtx : public detail::OpServices {
   void run() {
     const Flowgraph::Vertex& v = graph_.vertex(vertex_);
     kind_ = v.kind;
-#ifdef DPS_TRACE
     // Identity fields for kOpStart/kOpEnd pairing (obs::TraceQuery keys
     // intervals on thread/vertex/context/seq).
     const bool t_on = obs::tracing_active();
@@ -189,7 +179,6 @@ class Controller::ExecCtx : public detail::OpServices {
                                     static_cast<uint64_t>(kind_), t_ctx,
                                     t_seq);
     }
-#endif
     std::unique_ptr<Operation> op(v.op->create());
     op->services_ = this;
 
@@ -299,13 +288,11 @@ class Controller::ExecCtx : public detail::OpServices {
         throw;
       }
       controller_.finish_flow_account(split_ctx_);
-#ifdef DPS_TRACE
       if (t_on) {
         static obs::Histogram& fanout =
             obs::Metrics::instance().histogram("dps.split.fanout");
         fanout.observe(posted_);
       }
-#endif
     }
     if (kind_ == OpKind::kLeaf && posted_ != 1) {
       raise(Errc::kState, "leaf operation must post exactly one token, got " +
@@ -315,7 +302,6 @@ class Controller::ExecCtx : public detail::OpServices {
       raise(Errc::kState, "merge operation must post exactly one token, got " +
                               std::to_string(posted_));
     }
-#ifdef DPS_TRACE
     if (t_on) {
       obs::Trace::instance().record(obs::EventKind::kOpEnd,
                                     controller_.self(), vertex_,
@@ -325,7 +311,6 @@ class Controller::ExecCtx : public detail::OpServices {
           obs::Metrics::instance().histogram("dps.op.latency_ns");
       op_latency.observe(obs::trace_clock_ns() - t_begin);
     }
-#endif
   }
 
   // --- OpServices -----------------------------------------------------------
@@ -541,7 +526,6 @@ class Controller::ExecCtx : public detail::OpServices {
       controller_.mcast_encodes_.fetch_add(1, std::memory_order_relaxed);
     }
 
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
       obs::Trace::instance().record(obs::EventKind::kMcastSend,
                                     controller_.self_, target, K,
@@ -551,7 +535,6 @@ class Controller::ExecCtx : public detail::OpServices {
           obs::Metrics::instance().counter("dps.mcast.collectives");
       collectives.inc();
     }
-#endif
 
     // Local destinations: envelope copies sharing the token pointer.
     for (const McastEntry& e : entries) {
@@ -619,11 +602,9 @@ class Controller::ExecCtx : public detail::OpServices {
         if (worker_.depth_slot != nullptr) {
           worker_.depth_slot->fetch_sub(1, std::memory_order_relaxed);
         }
-#ifdef DPS_TRACE
         obs::Trace::instance().record(
             obs::EventKind::kDequeue, controller_.self(), env2.vertex,
             worker_.collection, worker_.index, worker_.run.size());
-#endif
         if (matched) {
           const SplitFrame f = env2.frames.back();
           ++received_;
@@ -840,11 +821,9 @@ Controller::Worker& Controller::worker(CollectionId collection,
 void Controller::worker_loop(Worker& w) {
   ExecDomain& domain = cluster_.domain();
   domain.actor_started(w.label.c_str());
-#ifdef DPS_TRACE
   if (obs::Trace::instance().enabled()) {
     obs::Trace::instance().set_thread_name(w.label);
   }
-#endif
   // Under virtual time, this DPS thread competes for its node's CPUs.
   domain.bind_cpu(static_cast<int>(self_));
   for (;;) {
@@ -864,10 +843,8 @@ void Controller::worker_loop(Worker& w) {
     if (w.depth_slot != nullptr) {
       w.depth_slot->fetch_sub(1, std::memory_order_relaxed);
     }
-#ifdef DPS_TRACE
     obs::Trace::instance().record(obs::EventKind::kDequeue, self_, env.vertex,
                                   w.collection, w.index, w.run.size());
-#endif
     try {
       dispatch(w, std::move(env));
     } catch (const Error& e) {
@@ -912,13 +889,11 @@ void Controller::drain_inbox(Worker& w) {
 
 void Controller::dispatch(Worker& w, Envelope env) {
   dispatched_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
   if (obs::tracing_active()) {
     static obs::Counter& tokens =
         obs::Metrics::instance().counter("dps.tokens.dispatched");
     tokens.inc();
   }
-#endif
   Application* app = cluster_.app(env.app);
   std::shared_ptr<Flowgraph> graph = app->graph(env.graph);
   DPS_CHECK(graph != nullptr, "envelope names an unknown graph");
@@ -1078,7 +1053,6 @@ void Controller::send_reply(Envelope env) {
 void Controller::fabric_send(NodeId target, FrameKind kind,
                              std::vector<std::byte> payload,
                              SharedPayload body) {
-#ifdef DPS_TRACE
   if (obs::tracing_active()) {
     obs::Trace::instance().record(
         obs::EventKind::kFabricSend, self_, target,
@@ -1088,7 +1062,6 @@ void Controller::fabric_send(NodeId target, FrameKind kind,
         obs::Metrics::instance().counter("dps.fabric.frames_sent");
     sent.inc();
   }
-#endif
   if (body != nullptr) {
     cluster_.fabric().send_shared(self_, target, kind, std::move(payload),
                                   std::move(body));
@@ -1103,13 +1076,11 @@ void Controller::mcast_ship(NodeId node, const McastEntry* entries, size_t n,
   encode_mcast_header(w, entries, n);
   BufferPool::instance().note_growth(w.growth_count());
   mcast_frames_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
   if (obs::tracing_active()) {
     static obs::Counter& frames =
         obs::Metrics::instance().counter("dps.mcast.frames");
     frames.inc();
   }
-#endif
   fabric_send(node, FrameKind::kMcastEnvelope, w.take(), body);
 }
 
@@ -1140,7 +1111,6 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
       peer_failed(msg.from, reason);
       continue;
     }
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
       obs::Trace::instance().record(obs::EventKind::kFabricRecv, self_,
                                     msg.from, static_cast<uint64_t>(msg.kind),
@@ -1149,7 +1119,6 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
           obs::Metrics::instance().counter("dps.fabric.frames_received");
       received.inc();
     }
-#endif
     try {
       handle_frame(msg, batch);
     } catch (const std::exception& e) {
@@ -1218,7 +1187,7 @@ void Controller::handle_mcast(NodeId from, Reader& r, DeliveryBatch& batch) {
                 " lists a destination on node " + std::to_string(e.node));
     }
   }
-  [[maybe_unused]] const size_t body_bytes = r.remaining();
+  const size_t body_bytes = r.remaining();
   Envelope base = Envelope::decode(r);
   if (base.frames.empty()) {
     raise(Errc::kProtocol, "multicast envelope without a split frame");
@@ -1231,7 +1200,6 @@ void Controller::handle_mcast(NodeId from, Reader& r, DeliveryBatch& batch) {
     env.frames.back().seq = e.seq;
     batch.add(std::move(env));
   }
-#ifdef DPS_TRACE
   if (!entries.empty() && obs::tracing_active()) {
     obs::Trace::instance().record(obs::EventKind::kMcastDeliver, self_,
                                   base.vertex, entries.size(), entries.size(),
@@ -1240,7 +1208,6 @@ void Controller::handle_mcast(NodeId from, Reader& r, DeliveryBatch& batch) {
         obs::Metrics::instance().counter("dps.mcast.deliveries");
     deliveries.inc(entries.size());
   }
-#endif
 }
 
 // --- Flow control ------------------------------------------------------------
@@ -1281,10 +1248,8 @@ void Controller::flow_acquire(ContextId ctx, uint32_t min_window) {
     raise(Errc::kState, "shutdown while waiting for flow-control window");
   }
   ++acc->in_flight;
-#ifdef DPS_TRACE
   obs::Trace::instance().record(obs::EventKind::kFlowAcquire, self_, ctx, 0, 0,
                                 acc->in_flight);
-#endif
 }
 
 void Controller::finish_flow_account(ContextId ctx) {
@@ -1312,10 +1277,8 @@ void Controller::apply_flow_release(ContextId ctx, uint32_t n) {
     MutexLock al(it->second->mu);
     FlowAccount& acc = *it->second;
     acc.in_flight = (acc.in_flight >= n) ? acc.in_flight - n : 0;
-#ifdef DPS_TRACE
     obs::Trace::instance().record(obs::EventKind::kFlowRelease, self_, ctx, 0,
                                   n, acc.in_flight);
-#endif
     cluster_.domain().notify_all(acc.wp);
     drained = acc.finished && acc.in_flight == 0;
   }
@@ -1385,7 +1348,6 @@ void Controller::admit_call(TenantId tenant, const Flowgraph& target) {
     }
   }
 
-#ifdef DPS_TRACE
   {
     static obs::Counter& admitted =
         obs::Metrics::instance().counter("dps.svc.admitted");
@@ -1405,7 +1367,6 @@ void Controller::admit_call(TenantId tenant, const Flowgraph& target) {
         why == nullptr ? obs::EventKind::kSvcAdmit : obs::EventKind::kSvcShed,
         self_, tenant, 0, 0, inflight);
   }
-#endif
 
   if (why != nullptr) {
     raise(Errc::kBackpressure,
@@ -1422,7 +1383,6 @@ void Controller::retire_call(TenantId tenant, bool deadline_expired) {
     --s.inflight;
     if (deadline_expired) ++s.deadline_expired;
   }
-#ifdef DPS_TRACE
   {
     static obs::Gauge& inflight_g =
         obs::Metrics::instance().gauge("dps.svc.inflight");
@@ -1437,7 +1397,6 @@ void Controller::retire_call(TenantId tenant, bool deadline_expired) {
     obs::Trace::instance().record(obs::EventKind::kSvcDeadline, self_, tenant,
                                   0, 0, 0);
   }
-#endif
 }
 
 Controller::SvcStats Controller::svc_stats(TenantId tenant) const {

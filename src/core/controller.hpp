@@ -72,10 +72,9 @@ class Controller {
   uint64_t dispatched() const { return dispatched_.load(std::memory_order_relaxed); }
 
   // --- service-mesh admission control (docs/SERVICE_MESH.md) ----------------
-  /// Always-on per-tenant admission counters. The authoritative source of
-  /// the dps.svc.{admitted,shed,deadline_expired,inflight} metrics (the
-  /// obs mirrors only exist under DPS_TRACE); benches and tests assert on
-  /// these in every build flavor.
+  /// Always-on per-tenant admission counters. The dps.svc.{admitted,shed,
+  /// deadline_expired,inflight} metrics mirror them process-wide, summed
+  /// over tenants and nodes; benches and tests assert on these.
   struct SvcStats {
     uint64_t admitted = 0;          ///< calls that passed admission
     uint64_t shed = 0;              ///< calls refused with kBackpressure
@@ -124,8 +123,8 @@ class Controller {
   /// Envelope bodies encoded for multicast on this node. The one-encode-
   /// K-transmit invariant is `multicast_encodes() == collectives with >= 1
   /// remote destination` while `multicast_frames_sent()` counts the actual
-  /// kMcastEnvelope transmits — always-on so every build flavor can assert
-  /// it (tests/core_engine_test.cpp).
+  /// kMcastEnvelope transmits — always-on, so tests can assert it with the
+  /// recorder off (tests/core_engine_test.cpp).
   uint64_t multicast_encodes() const {
     return mcast_encodes_.load(std::memory_order_relaxed);
   }

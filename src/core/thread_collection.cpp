@@ -3,12 +3,9 @@
 #include "core/application.hpp"
 #include "core/cluster.hpp"
 #include "core/controller.hpp"
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/mapping.hpp"
-
-#ifdef DPS_TRACE
-#include "obs/trace.hpp"
-#endif
 
 namespace dps {
 
@@ -35,10 +32,8 @@ void ThreadCollectionBase::map(const std::string& mapping) {
   }
   // Publish the full placement before any worker can run.
   placement_ = std::move(placement);
-#ifdef DPS_TRACE
   obs::Trace::instance().record(obs::EventKind::kCollectionMap, 0, id(),
                                 placement_.size(), 0, 0);
-#endif
   depths_ = std::make_unique<std::atomic<uint32_t>[]>(placement_.size());
   for (size_t i = 0; i < placement_.size(); ++i) depths_[i].store(0);
   for (size_t i = 0; i < placement_.size(); ++i) {

@@ -2,10 +2,8 @@
 
 #include "life/fast_step.hpp"
 #include "obs/metrics.hpp"
-#include "util/error.hpp"
-#ifdef DPS_TRACE
 #include "obs/trace.hpp"
-#endif
+#include "util/error.hpp"
 
 namespace dps::life {
 
@@ -116,31 +114,24 @@ obs::Counter& leaf_cells_counter() {
   return c;
 }
 
-/// Records one kLeafStep kernel interval when the flight recorder is
-/// compiled in and enabled (a=kernel id, b=rows, c=cols, d=ns).
-#ifdef DPS_TRACE
+/// Records one kLeafStep kernel interval (a=kernel id, b=rows, c=cols,
+/// d=ns) when the flight recorder is enabled. An interval that began while
+/// the recorder was off has no start time and records nothing.
 struct LeafStepInterval {
   const LifeKernel& kernel;
   uint64_t rows, cols;
-  uint64_t t0 = 0;
+  uint64_t t0 = 0;  ///< 0: the recorder was off when the interval began
   LeafStepInterval(const LifeKernel& k, uint64_t r, uint64_t c)
       : kernel(k), rows(r), cols(c) {
     if (obs::tracing_active()) t0 = obs::trace_clock_ns();
   }
   ~LeafStepInterval() {
-    if (obs::tracing_active()) {
+    if (t0 != 0 && obs::tracing_active()) {
       obs::Trace::instance().record(obs::EventKind::kLeafStep, 0, kernel.id,
                                     rows, cols, obs::trace_clock_ns() - t0);
     }
   }
 };
-#define LEAF_STEP_INTERVAL(kernel, rows, cols) \
-  LeafStepInterval leaf_interval_((kernel), (rows), (cols))
-#else
-#define LEAF_STEP_INTERVAL(kernel, rows, cols) \
-  do {                                         \
-  } while (false)
-#endif
 
 }  // namespace
 
@@ -149,7 +140,7 @@ Band step_band(const Band& band, const std::vector<uint8_t>& above,
   const LifeKernel& k = active_life_kernel();
   leaf_cells_counter().inc(static_cast<uint64_t>(band.rows()) *
                            static_cast<uint64_t>(band.cols()));
-  LEAF_STEP_INTERVAL(k, band.rows(), band.cols());
+  const LeafStepInterval interval(k, band.rows(), band.cols());
   return k.step_band(band, above, below);
 }
 
@@ -158,7 +149,7 @@ Band step_interior(const Band& band) {
   const int interior_rows = band.rows() > 2 ? band.rows() - 2 : 0;
   leaf_cells_counter().inc(static_cast<uint64_t>(interior_rows) *
                            static_cast<uint64_t>(band.cols()));
-  LEAF_STEP_INTERVAL(k, band.rows(), band.cols());
+  const LeafStepInterval interval(k, band.rows(), band.cols());
   return k.step_interior(band);
 }
 
@@ -168,7 +159,7 @@ void step_borders(const Band& band, const std::vector<uint8_t>& above,
   const int border_rows = band.rows() > 1 ? 2 : band.rows();
   leaf_cells_counter().inc(static_cast<uint64_t>(border_rows) *
                            static_cast<uint64_t>(band.cols()));
-  LEAF_STEP_INTERVAL(k, band.rows(), band.cols());
+  const LeafStepInterval interval(k, band.rows(), band.cols());
   k.step_borders(band, above, below, out);
 }
 

@@ -1,12 +1,9 @@
 #include "net/chaos_fabric.hpp"
 
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
-
-#ifdef DPS_TRACE
-#include "obs/trace.hpp"
-#endif
 
 namespace dps {
 
@@ -41,14 +38,8 @@ void ChaosFabric::note_drop(FrameKind kind, NodeId from, NodeId to,
                             size_t bytes) {
   dropped_.fetch_add(1, std::memory_order_relaxed);
   dropped_by_kind_[kind_index(kind)].fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
   obs::Trace::instance().record(obs::EventKind::kChaosDrop, from, to,
                                 static_cast<uint64_t>(kind), 0, bytes);
-#else
-  (void)from;
-  (void)to;
-  (void)bytes;
-#endif
 }
 
 bool ChaosFabric::severed(NodeId from, NodeId to) const {
@@ -116,10 +107,8 @@ void ChaosFabric::inject(NodeId from, NodeId to, FrameKind kind,
   }
   if (dup) {
     duplicated_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
     obs::Trace::instance().record(obs::EventKind::kChaosDup, from, to,
                                   static_cast<uint64_t>(kind), 0, frame_bytes);
-#endif
     // Only the owned prefix is copied; a duplicated multicast frame keeps
     // sharing the encoded body with the original.
     std::vector<std::byte> copy = payload;
@@ -132,12 +121,10 @@ void ChaosFabric::inject(NodeId from, NodeId to, FrameKind kind,
   }
   if (delay > 0) {
     delayed_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
     obs::Trace::instance().record(obs::EventKind::kChaosDelay, from, to,
                                   static_cast<uint64_t>(kind),
                                   static_cast<uint64_t>(delay * 1e9),
                                   frame_bytes);
-#endif
     enqueue_delayed({mono_seconds() + delay, 0, from, to, kind,
                      std::move(payload), std::move(body)});
     return;

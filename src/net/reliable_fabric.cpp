@@ -3,16 +3,13 @@
 #include <algorithm>
 #include <string>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serial/buffer_pool.hpp"
 #include "serial/wire.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
 #include "util/stopwatch.hpp"
-
-#ifdef DPS_TRACE
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#endif
 
 namespace dps {
 
@@ -158,9 +155,6 @@ void ReliableFabric::retire_locked(Link& l, uint64_t ack) {
 ReliableFabric::Verdict ReliableFabric::receive_locked(
     NodeId self, Endpoint& ep, NodeMessage& msg, double now,
     std::vector<Control>* reacks) {
-#ifndef DPS_TRACE
-  (void)self;  // names the recording node of trace events only
-#endif
   const FrameKind kind = msg.kind;
   if (kind != FrameKind::kReliable && kind != FrameKind::kAck &&
       kind != FrameKind::kHeartbeat) {
@@ -174,10 +168,8 @@ ReliableFabric::Verdict ReliableFabric::receive_locked(
     Reader r(msg.payload);
     if (kind != FrameKind::kReliable) {  // kAck / kHeartbeat: an ack carrier
       const uint64_t ack = r.get<uint64_t>();
-#ifdef DPS_TRACE
       obs::Trace::instance().record(obs::EventKind::kAckRecv, self, msg.from, 0,
                                     ack, 0);
-#endif
       retire_locked(l, ack);
       l.last_heard = now;
       return Verdict::kConsumed;
@@ -185,17 +177,14 @@ ReliableFabric::Verdict ReliableFabric::receive_locked(
     const uint64_t seq = r.get<uint64_t>();
     const uint64_t ack = r.get<uint64_t>();
     const auto inner = static_cast<FrameKind>(r.get<uint16_t>());
-#ifdef DPS_TRACE
     obs::Trace::instance().record(obs::EventKind::kAckRecv, self, msg.from, 0,
                                   ack, 0);
-#endif
     retire_locked(l, ack);
     l.last_heard = now;
     if (seq <= l.rx_contig || l.rx_above.count(seq) != 0) {
       // A retransmission that crossed our ack, or an injected copy: drop
       // it and re-send the cumulative ack so the sender stops.
       dup_suppressed_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
       if (obs::tracing_active()) {
         obs::Trace::instance().record(obs::EventKind::kDupSuppressed, self,
                                       msg.from, static_cast<uint64_t>(inner),
@@ -204,7 +193,6 @@ ReliableFabric::Verdict ReliableFabric::receive_locked(
             obs::Metrics::instance().counter("dps.fabric.dup_suppressed");
         dups.inc();
       }
-#endif
       const uint64_t val = piggyback_locked(l);
       auto it = std::find_if(
           reacks->begin(), reacks->end(),
@@ -252,10 +240,8 @@ void ReliableFabric::on_batch(NodeId self,
     }
   }
   for (const Control& a : reacks) {
-#ifdef DPS_TRACE
     obs::Trace::instance().record(obs::EventKind::kAckSend, self, a.peer, 0,
                                   a.ack, 0);
-#endif
     ship(self, a.peer, FrameKind::kAck, ack_payload(a.ack), nullptr);
   }
   // Frames are self-contained engine messages: out-of-order delivery is
@@ -295,10 +281,8 @@ std::vector<NodeId> ReliableFabric::tick(NodeId self, double now) {
       if (peer == self || l.dead) continue;
       if (l.ack_pending && l.rx_contig > l.acked_sent) {
         const uint64_t ack = piggyback_locked(l);
-#ifdef DPS_TRACE
         obs::Trace::instance().record(obs::EventKind::kAckSend, self, peer, 0,
                                       ack, 0);
-#endif
         outs.push_back({peer, FrameKind::kAck, ack_payload(ack), nullptr});
       }
       for (auto& [seq, p] : l.unacked) {
@@ -318,7 +302,6 @@ std::vector<NodeId> ReliableFabric::tick(NodeId self, double now) {
                         wrap(seq, piggyback_locked(l), p.kind, p.prefix),
                         p.body});
         retransmissions_.fetch_add(1, std::memory_order_relaxed);
-#ifdef DPS_TRACE
         if (obs::tracing_active()) {
           obs::Trace::instance().record(obs::EventKind::kRetransmit, self,
                                         peer, static_cast<uint64_t>(p.kind),
@@ -327,7 +310,6 @@ std::vector<NodeId> ReliableFabric::tick(NodeId self, double now) {
               obs::Metrics::instance().counter("dps.fabric.retransmits");
           rtx.inc();
         }
-#endif
       }
     }
   }
@@ -349,10 +331,8 @@ void ReliableFabric::send_heartbeats(NodeId self) {
     }
   }
   for (const Control& b : beacons) {
-#ifdef DPS_TRACE
     obs::Trace::instance().record(obs::EventKind::kHeartbeat, self, b.peer, 0,
                                   b.ack, 0);
-#endif
     // Best effort: a missed beacon is exactly what detection measures.
     ship(self, b.peer, FrameKind::kHeartbeat, ack_payload(b.ack), nullptr);
   }

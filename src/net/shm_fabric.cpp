@@ -16,13 +16,12 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "serial/buffer_pool.hpp"
-#include "util/error.hpp"
-
-#ifdef DPS_TRACE
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#endif
+#include "serial/buffer_pool.hpp"
+#include "serial/wire.hpp"
+#include "util/error.hpp"
+#include "util/logging.hpp"
 
 namespace dps {
 namespace {
@@ -305,11 +304,9 @@ void ShmInbox::stop() {
 }
 
 void ShmInbox::rx_loop() {
-#ifdef DPS_TRACE
   if (obs::tracing_active()) {
     obs::Trace::instance().set_thread_name("shm rx " + std::to_string(self_));
   }
-#endif
   SegHeader& sh = seg_->header();
   const uint32_t peers = seg_->peers();
   const uint64_t cap = seg_->ring_bytes();
@@ -324,6 +321,7 @@ void ShmInbox::rx_loop() {
     RecordHeader rec{};
     size_t filled = 0;
     std::vector<std::byte> buf;
+    bool refused = false;  ///< producer broke the ring protocol; not drained
   };
   std::vector<Pending> pending(peers);
 
@@ -332,7 +330,6 @@ void ShmInbox::rx_loop() {
 
   auto flush = [&] {
     if (batch.empty()) return;
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
       obs::Trace::instance().record(obs::EventKind::kShmBatch, self_,
                                     batch.size(), batch_bytes, 0, 0);
@@ -346,7 +343,6 @@ void ShmInbox::rx_loop() {
           obs::Metrics::instance().counter("dps.shm.rx_bytes");
       bytes.inc(batch_bytes);
     }
-#endif
     deliver_(std::move(batch));
     batch.clear();  // moved-from: back to a known-empty state
     batch_bytes = 0;
@@ -366,15 +362,42 @@ void ShmInbox::rx_loop() {
     }
   };
 
+  // Any local process that can open the segment can write a ring, so its
+  // head and record lengths are checked before they size anything. A ring
+  // that breaks the protocol is reported once, like a torn TCP stream, as a
+  // kPeerDown from its peer, and is never drained again.
+  auto refuse_ring = [&](uint32_t r, const std::string& why) {
+    pending[r].refused = true;
+    pending[r].buf = {};
+    flush();  // frames that arrived before the fault still count
+    const std::string reason = to_string(Errc::kProtocol) +
+                               std::string(": shm ring from node ") +
+                               std::to_string(r) + " to node " +
+                               std::to_string(self_) + ": " + why;
+    DPS_ERROR("shm fabric: " << reason);
+    Writer w;
+    w.put_string(reason);
+    std::vector<NodeMessage> report;
+    report.push_back(
+        NodeMessage{static_cast<NodeId>(r), FrameKind::kPeerDown, w.take()});
+    deliver_(std::move(report));
+  };
+
   auto drain_ring = [&](uint32_t r) {
     RingHeader& rh = seg_->ring(r);
     const std::byte* data = seg_->ring_data(r);
     Pending& p = pending[r];
     bool consumed = false;
     uint64_t tail = rh.tail.load(std::memory_order_relaxed);
-    for (;;) {
+    while (!p.refused) {
       uint64_t avail = rh.head.load(std::memory_order_acquire) - tail;
       if (avail == 0) break;
+      if (avail > cap) {
+        refuse_ring(r, "published head is " + std::to_string(avail) +
+                           " bytes ahead of the tail of a " +
+                           std::to_string(cap) + "-byte ring");
+        break;
+      }
       consumed = true;
       if (!p.active) {
         const size_t k = static_cast<size_t>(
@@ -386,6 +409,13 @@ void ShmInbox::rx_loop() {
         if (p.hdr_filled < kRecordHeader) continue;
         std::memcpy(&p.rec, p.hdr, kRecordHeader);
         p.hdr_filled = 0;
+        if (p.rec.length > kMaxFrameLength) {
+          refuse_ring(r, "record of " + std::to_string(p.rec.length) +
+                             " bytes exceeds the " +
+                             std::to_string(kMaxFrameLength) +
+                             "-byte frame limit");
+          break;
+        }
         p.active = true;
         p.filled = 0;
         // Filled from the ring below before it is handed on: a recycled
@@ -429,6 +459,7 @@ void ShmInbox::rx_loop() {
     std::atomic_thread_fence(std::memory_order_seq_cst);
     bool data = stop_.load(std::memory_order_acquire);
     for (uint32_t r = 0; !data && r < peers; ++r) {
+      if (pending[r].refused) continue;
       RingHeader& rh = seg_->ring(r);
       data = rh.head.load(std::memory_order_acquire) !=
              rh.tail.load(std::memory_order_relaxed);
@@ -527,7 +558,6 @@ bool ShmPeerTx::send(FrameKind kind, const std::byte* prefix,
   publish();
   frames_.fetch_add(1, std::memory_order_relaxed);
   bytes_.fetch_add(head - start, std::memory_order_relaxed);
-#ifdef DPS_TRACE
   if (obs::tracing_active()) {
     static obs::Counter& frames =
         obs::Metrics::instance().counter("dps.shm.tx_frames");
@@ -536,7 +566,6 @@ bool ShmPeerTx::send(FrameKind kind, const std::byte* prefix,
         obs::Metrics::instance().counter("dps.shm.tx_bytes");
     bytes.inc(head - start);
   }
-#endif
   return true;
 }
 

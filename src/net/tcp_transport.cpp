@@ -2,15 +2,12 @@
 
 #include <utility>
 
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "serial/buffer_pool.hpp"
 #include "serial/wire.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
-
-#ifdef DPS_TRACE
-#include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-#endif
 
 namespace dps {
 
@@ -92,7 +89,6 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
   }
   DPS_CHECK(static_cast<bool>(handler), "receiver started before attach");
 
-#ifdef DPS_TRACE
   // Folded in when the connection ends, whichever exit path it takes.
   struct RecvCalls {
     FrameReader& r;
@@ -104,7 +100,6 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
       }
     }
   } recv_calls_scope{reader};
-#endif
 
   // Frames decoded from the current chunk, delivered together when the
   // chunk is exhausted: one grouped handoff (one controller inbox append +
@@ -117,15 +112,12 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
     // frames twice.
     std::vector<NodeMessage> out = std::exchange(batch, {});
     const size_t count = out.size();
-#ifdef DPS_TRACE
     const bool t_on = obs::tracing_active();
     if (t_on) {
       obs::Trace::instance().record(obs::EventKind::kRxBatchStart, peer, self,
                                     count, batch_bytes, 0);
     }
-#endif
     handler(std::move(out));
-#ifdef DPS_TRACE
     if (t_on) {
       obs::Trace::instance().record(obs::EventKind::kRxBatchEnd, peer, self,
                                     count, batch_bytes, 0);
@@ -139,9 +131,6 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
           obs::Metrics::instance().histogram("dps.rx.batch_bytes");
       bytes_hist.observe(batch_bytes);
     }
-#else
-    (void)count;
-#endif
     batch_bytes = 0;
   };
 
@@ -160,11 +149,9 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
         flush();
         return;
       }
-#ifdef DPS_TRACE
       obs::Trace::instance().record(obs::EventKind::kTransportRecv, self, peer,
                                     static_cast<uint64_t>(f.kind), 0,
                                     f.payload.size());
-#endif
       batch_bytes += frame_wire_size(f);
       batch.push_back(NodeMessage{peer, f.kind, std::move(f.payload)});
       // Chunk exhausted (next frame would block): natural batch boundary.
@@ -192,12 +179,10 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
 }
 
 void TcpFabric::sender_loop(OutConn& oc) {
-#ifdef DPS_TRACE
   if (obs::tracing_active()) {
     obs::Trace::instance().set_thread_name(
         "tx " + std::to_string(oc.from) + "->" + std::to_string(oc.to));
   }
-#endif
   // Lazy connect (the paper's delayed connection strategy), off the
   // producer's thread: the first enqueue created this link, the connect and
   // hello happen here while the producer continues computing.
@@ -229,7 +214,6 @@ void TcpFabric::sender_loop(OutConn& oc) {
     }
     // Budget freed: wake every producer blocked on backpressure.
     oc.space.notify_all();
-#ifdef DPS_TRACE
     size_t batch_bytes = 0;
     const bool t_on = obs::tracing_active();
     if (t_on) {
@@ -237,7 +221,6 @@ void TcpFabric::sender_loop(OutConn& oc) {
       obs::Trace::instance().record(obs::EventKind::kTxBatchStart, oc.from,
                                     oc.to, batch.size(), batch_bytes, 0);
     }
-#endif
     bool wrote = false;
     try {
       // The coalesced write: every pending frame for this peer leaves in
@@ -264,7 +247,6 @@ void TcpFabric::sender_loop(OutConn& oc) {
       oc.queued_bytes = 0;
       oc.space.notify_all();
     }
-#ifdef DPS_TRACE
     if (t_on) {
       obs::Trace::instance().record(obs::EventKind::kTxBatchEnd, oc.from,
                                     oc.to, batch.size(), batch_bytes,
@@ -279,9 +261,6 @@ void TcpFabric::sender_loop(OutConn& oc) {
           obs::Metrics::instance().histogram("dps.tx.batch_bytes");
       bytes_hist.observe(batch_bytes);
     }
-#else
-    (void)wrote;
-#endif
     batch.clear();
   }
   // Closed and fully drained: announce the planned close so the peer's
@@ -375,7 +354,6 @@ void TcpFabric::enqueue_frame(NodeId from, NodeId to, Frame f) {
     oc.queued_bytes += wire;
     messages_.fetch_add(1, std::memory_order_relaxed);
     bytes_.fetch_add(wire, std::memory_order_relaxed);
-#ifdef DPS_TRACE
     if (obs::tracing_active()) {
       obs::Trace::instance().record(obs::EventKind::kTransportSend, from, to,
                                     static_cast<uint64_t>(kind),
@@ -385,7 +363,6 @@ void TcpFabric::enqueue_frame(NodeId from, NodeId to, Frame f) {
       depth.set(static_cast<int64_t>(oc.queued_bytes));
       depth.update_max(static_cast<int64_t>(oc.queued_bytes));
     }
-#endif
   }
   oc.data.notify_one();
 }

@@ -3,9 +3,9 @@
 //
 // Companion of the flight recorder (obs/trace.hpp): the trace answers
 // "what happened, in what order", the metrics answer "how much, how often".
-// Engine instrumentation sites update both behind the DPS_TRACE compile
-// toggle; the registry itself is always available so tests and tools can
-// define their own series.
+// Engine instrumentation sites update their series while the recorder is
+// enabled (obs::tracing_active()), except dps.svc.* and dps.leaf.cells,
+// which are always updated; tests and tools may define their own series.
 //
 // Instruments registered once never move: `counter("x")` returns a stable
 // reference that call sites may cache in a function-local static. reset()

@@ -165,24 +165,29 @@ struct Trace::Registry {
   }
 
   TraceBuffer* acquire(Handle& h, size_t capacity) {
-    MutexLock lock(mu);
-    if (!free_list.empty()) {
-      const uint32_t idx = free_list.back();
-      Entry& e = *entries[idx];
-      if (e.buffer->capacity() >= round_up(capacity)) {
-        free_list.pop_back();
-        e.buffer->set_name("");
-        e.live.store(true, std::memory_order_relaxed);
-        h.registry = this;
-        h.index = idx;
-        h.buffer = e.buffer.get();
-        h.sample_skip = 0;
-        return h.buffer;
+    {
+      MutexLock lock(mu);
+      if (!free_list.empty()) {
+        const uint32_t idx = free_list.back();
+        Entry& e = *entries[idx];
+        if (e.buffer->capacity() >= round_up(capacity)) {
+          free_list.pop_back();
+          e.buffer->set_name("");
+          e.live.store(true, std::memory_order_relaxed);
+          h.registry = this;
+          h.index = idx;
+          h.buffer = e.buffer.get();
+          h.sample_skip = 0;
+          return h.buffer;
+        }
       }
     }
+    // Built outside the lock: zero-filling a large ring takes milliseconds,
+    // and every other thread's first event would wait for it.
     auto entry = std::make_unique<Entry>();
     entry->buffer = std::make_unique<TraceBuffer>(capacity);
     entry->live.store(true, std::memory_order_relaxed);
+    MutexLock lock(mu);
     entries.push_back(std::move(entry));
     const uint32_t idx = static_cast<uint32_t>(entries.size() - 1);
     h.registry = this;

@@ -8,15 +8,12 @@
 // tests can *assert* scheduling behavior and humans can view it in
 // chrome://tracing (obs/trace_format.hpp).
 //
-// Cost model:
-//   * DPS_TRACE=OFF (default): the DPS_TRACE_EVENT call sites expand to
-//     nothing — arguments are not evaluated, no branch, no atomic; the hot
-//     path compiles to the pre-instrumentation code.
-//   * DPS_TRACE=ON, recorder disabled (default at runtime): one relaxed
-//     atomic load + branch per site.
-//   * DPS_TRACE=ON, recording: a seqlock-protected write of 6 words into a
-//     thread-owned ring; no locks, no allocation after the first event of
-//     a thread.
+// The instrumentation is always compiled in; Trace::configure/set_enabled
+// is the only switch. Cost model:
+//   * Recorder disabled (the default): one relaxed atomic load + branch
+//     per site.
+//   * Recording: a seqlock-protected write of 6 words into a thread-owned
+//     ring; no locks, no allocation after the first event of a thread.
 //
 // Draining is safe at any time (per-slot seqlocks reject events caught
 // mid-write) but is only *complete* at quiescence: a writer that laps the
@@ -31,14 +28,6 @@
 #include <vector>
 
 namespace dps::obs {
-
-/// Set when the library was compiled with -DDPS_TRACE=ON; trace-driven test
-/// assertions skip themselves when instrumentation is compiled out.
-#ifdef DPS_TRACE
-inline constexpr bool kTraceCompiled = true;
-#else
-inline constexpr bool kTraceCompiled = false;
-#endif
 
 /// What happened. The meaning of the generic args a/b/c/d per kind is the
 /// event schema table of docs/OBSERVABILITY.md — keep the two in sync.
@@ -193,9 +182,9 @@ class Trace {
   }
   bool enabled() const { return tracing_active(); }
 
-  /// Fast path used by the DPS_TRACE_EVENT macro. Inlines to one relaxed
-  /// load + branch when disabled; otherwise applies sampling and appends to
-  /// the caller's ring.
+  /// Fast path of every instrumentation site. Inlines to one relaxed load +
+  /// branch when disabled; otherwise applies sampling and appends to the
+  /// caller's ring.
   void record(EventKind kind, uint32_t node, uint64_t a = 0, uint64_t b = 0,
               uint64_t c = 0, uint64_t d = 0) noexcept {
     if (!tracing_active()) return;
@@ -229,13 +218,3 @@ class Trace {
 };
 
 }  // namespace dps::obs
-
-// Call-site macro: compiled out entirely (arguments unevaluated) unless the
-// build defines DPS_TRACE.
-#ifdef DPS_TRACE
-#define DPS_TRACE_EVENT(...) ::dps::obs::Trace::instance().record(__VA_ARGS__)
-#else
-#define DPS_TRACE_EVENT(...) \
-  do {                       \
-  } while (0)
-#endif

@@ -9,12 +9,9 @@
 #include <thread>
 #include <vector>
 
+#include "obs/trace.hpp"
 #include "util/error.hpp"
 #include "util/logging.hpp"
-
-#ifdef DPS_TRACE
-#include "obs/trace.hpp"
-#endif
 
 namespace dps {
 
@@ -169,11 +166,9 @@ struct SimDomain::Impl {
       if (t > now) {
         now = t;
         now_mirror.store(now, std::memory_order_relaxed);
-#ifdef DPS_TRACE
         obs::Trace::instance().record(
             obs::EventKind::kSimAdvance, 0,
             static_cast<uint64_t>(now * 1e9), events.size(), 0, 0);
-#endif
       }
 
       // Release charging actors that are due.
@@ -198,11 +193,9 @@ struct SimDomain::Impl {
       if (!due.empty()) {
         lock.unlock();
         for (auto& fn : due) {
-#ifdef DPS_TRACE
           obs::Trace::instance().record(
               obs::EventKind::kSimEvent, 0,
               static_cast<uint64_t>(now * 1e9), 0, 0, 0);
-#endif
           fn();
           events_done.fetch_add(1, std::memory_order_relaxed);
         }

@@ -74,9 +74,9 @@ TEST(Chaos, ToupperSurvivesDropSweep) {
 // eventually resend it — at quiescence sum(retransmissions) >=
 // frames_dropped(kReliable). The counters converge rather than match at any
 // instant (a drop near the end of the run is only resent one RTO later), so
-// the test polls both to a deadline before asserting. With DPS_TRACE
-// compiled in, the same bound must hold for the dps.fabric.retransmits
-// metric and the kRetransmit events in the flight recorder.
+// the test polls both to a deadline before asserting. The same bound must
+// hold for the dps.fabric.retransmits metric and the kRetransmit events in
+// the flight recorder.
 TEST(Chaos, RetransmitsAccountForInjectedDrops) {
   FaultPlan plan;
   plan.seed = 0x5e7a;
@@ -84,12 +84,10 @@ TEST(Chaos, RetransmitsAccountForInjectedDrops) {
   std::shared_ptr<ChaosFabric> chaos;
   Cluster cluster(chaos_config(3, plan, &chaos));
 
-  if (obs::kTraceCompiled) {
-    obs::Metrics::instance().reset();
-    obs::Trace::instance().reset();
-    obs::Trace::instance().configure(
-        {/*enabled=*/true, /*sample_every=*/1, /*buffer_capacity=*/1u << 15});
-  }
+  obs::Metrics::instance().reset();
+  obs::Trace::instance().reset();
+  obs::Trace::instance().configure(
+      {/*enabled=*/true, /*sample_every=*/1, /*buffer_capacity=*/1u << 15});
 
   Application app(cluster, "toupper");
   auto graph = build_toupper_graph(app, 4);
@@ -120,19 +118,17 @@ TEST(Chaos, RetransmitsAccountForInjectedDrops) {
   EXPECT_GE(retrans, drops)
       << "every dropped reliable frame must be retransmitted";
 
-  if (obs::kTraceCompiled) {
-    const obs::MetricsSnapshot snap = obs::Metrics::instance().snapshot();
-    obs::TraceQuery q(obs::Trace::instance().collect());
-    obs::Trace::instance().set_enabled(false);
-    obs::Trace::instance().reset();
-    // The metric is bumped at the same site as ReliableFabric's counter and
-    // sampled later, so it bounds both the counter and the injected drops.
-    EXPECT_GE(snap.counter("dps.fabric.retransmits"), retrans);
-    EXPECT_GE(snap.counter("dps.fabric.retransmits"), drops);
-    EXPECT_GE(q.count(obs::EventKind::kRetransmit), drops)
-        << "each retransmission must appear in the flight recorder";
-    EXPECT_GT(q.count(obs::EventKind::kFabricSend), 0u);
-  }
+  const obs::MetricsSnapshot snap = obs::Metrics::instance().snapshot();
+  obs::TraceQuery q(obs::Trace::instance().collect());
+  obs::Trace::instance().set_enabled(false);
+  obs::Trace::instance().reset();
+  // The metric is bumped at the same site as ReliableFabric's counter and
+  // sampled later, so it bounds both the counter and the injected drops.
+  EXPECT_GE(snap.counter("dps.fabric.retransmits"), retrans);
+  EXPECT_GE(snap.counter("dps.fabric.retransmits"), drops);
+  EXPECT_GE(q.count(obs::EventKind::kRetransmit), drops)
+      << "each retransmission must appear in the flight recorder";
+  EXPECT_GT(q.count(obs::EventKind::kFabricSend), 0u);
 }
 
 TEST(Chaos, ExactlyOnceUnderDuplication) {

@@ -128,9 +128,6 @@ class SlowUpper
 // merge's kOpStart..kOpEnd interval must overlap leaf execution intervals
 // by a nonzero window.
 TEST(ToUpper, TraceProvesComputeMergeOverlap) {
-  if (!obs::kTraceCompiled) {
-    GTEST_SKIP() << "built without DPS_TRACE; use the trace preset";
-  }
   obs::Trace::instance().reset();
   obs::Trace::instance().configure(
       {/*enabled=*/true, /*sample_every=*/1, /*buffer_capacity=*/1u << 15});
@@ -171,14 +168,29 @@ TEST(ToUpper, TraceProvesComputeMergeOverlap) {
       << "the merge must collect while leaves still compute";
 }
 
+// A split that spends ~0.5 ms producing each character, like a producer
+// that computes its tokens: it is still executing while the sender thread
+// ships the tokens it already posted. (A split that posts all 96 tokens in
+// a quarter of a millisecond finishes before the lazy connect does, and on
+// a loaded host the one writev batch can then fall in the gap before the
+// first node-0 leaf starts.)
+class PacedSplitString
+    : public SplitOperation<MainThread, TV1(StringToken), TV1(CharToken)> {
+ public:
+  void execute(StringToken* in) override {
+    for (int i = 0; i < in->len; ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(500));
+      postToken(new CharToken(in->str[i], i));
+    }
+  }
+  DPS_IDENTIFY_OPERATION(PacedSplitString);
+};
+
 // The asynchronous transmit path's reason to exist: on the sending node,
 // operation executions (split posting tokens, leaves computing) must overlap
 // the sender thread's writev batches — with the old synchronous path the
 // worker sat inside send_all and the two could never overlap.
 TEST(ToUpper, TraceProvesComputeTransmitOverlap) {
-  if (!obs::kTraceCompiled) {
-    GTEST_SKIP() << "built without DPS_TRACE; use the trace preset";
-  }
   obs::Trace::instance().reset();
   obs::Trace::instance().configure(
       {/*enabled=*/true, /*sample_every=*/1, /*buffer_capacity=*/1u << 15});
@@ -190,7 +202,7 @@ TEST(ToUpper, TraceProvesComputeTransmitOverlap) {
     auto compute = app.thread_collection<ComputeThread>("proc");
     compute->map(round_robin_mapping({"node0", "node1"}, 4));
     FlowgraphBuilder b =
-        FlowgraphNode<SplitString, MainRoute>(main_threads) >>
+        FlowgraphNode<PacedSplitString, MainRoute>(main_threads) >>
         FlowgraphNode<SlowUpper, RoundRobinRoute>(compute) >>
         FlowgraphNode<MergeString, MainCharRoute>(main_threads);
     auto graph = app.build_graph(b, "tx-overlap");
@@ -381,9 +393,6 @@ TEST(Mcast, WindowBelowFanoutCannotStarveSharedSplitMergeWorker) {
 // windows — while the fabric-level recorder still sees a single shared
 // body. This is the wire-level half of the one-encode-K-transmit claim.
 TEST(Mcast, TraceShowsSharedTransmitsOverTcp) {
-  if (!obs::kTraceCompiled) {
-    GTEST_SKIP() << "built without DPS_TRACE; use the trace preset";
-  }
   constexpr int kFanout = 8;
   obs::Trace::instance().reset();
   obs::Trace::instance().configure(

@@ -12,6 +12,7 @@
 #include <thread>
 
 #include "core/envelope.hpp"
+#include "core/mcast.hpp"
 #include "net/framing.hpp"
 #include "net/reliable_fabric.hpp"
 #include "net/socket.hpp"
@@ -351,6 +352,158 @@ TEST(FuzzDecode, FlowAckMutatedFramesRoundTripOrReject) {
     EXPECT_EQ(flow_ack_round_trips_or_rejects(bytes),
               bytes.size() == kFlowAckSize)
         << "round " << round;
+  }
+}
+
+// --- kMcastEnvelope header -----------------------------------------------------
+//
+// A multicast frame is [u8 0 | u32 n | n x {u32 node | u32 thread | u32 seq}]
+// followed by one envelope body. The header decode either returns entries
+// that re-encode to exactly the bytes it consumed, or raises
+// Error(kProtocol). The body then goes through Envelope::decode, whose
+// contract the Adopt fuzzers pin: a decoded envelope re-encodes to the same
+// bytes, and garbage raises kProtocol (or kNotFound for a token type id
+// nobody registered).
+
+/// A multicast frame with `n` random entries and a valid envelope body.
+std::vector<std::byte> mcast_frame_bytes(std::mt19937& rng, size_t n) {
+  std::vector<McastEntry> entries(n);
+  for (McastEntry& e : entries) {
+    e = McastEntry{static_cast<uint32_t>(rng()), static_cast<uint32_t>(rng()),
+                   static_cast<uint32_t>(rng())};
+  }
+  Writer w;
+  encode_mcast_header(w, entries.data(), entries.size());
+  const std::vector<std::byte> body = valid_envelope_bytes();
+  w.put_raw(body.data(), body.size());
+  return w.take();
+}
+
+/// Decodes `bytes` the way Controller::handle_mcast does and checks the
+/// property. Returns whether the header decoded; *body_ok says whether the
+/// envelope body did too.
+bool mcast_round_trips_or_rejects(const std::vector<std::byte>& bytes,
+                                  bool* body_ok = nullptr) {
+  if (body_ok != nullptr) *body_ok = false;
+  Reader r(bytes);
+  std::vector<McastEntry> entries;
+  try {
+    entries = decode_mcast_header(r);
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), Errc::kProtocol) << e.what();
+    return false;
+  }
+  const size_t consumed = bytes.size() - r.remaining();
+  Writer header;
+  encode_mcast_header(header, entries.data(), entries.size());
+  EXPECT_TRUE(std::equal(header.bytes().begin(), header.bytes().end(),
+                         bytes.begin(), bytes.begin() + consumed) &&
+              header.bytes().size() == consumed)
+      << "decoded header re-encodes differently (" << entries.size()
+      << " entries)";
+  Envelope env;
+  try {
+    env = Envelope::decode(r);
+  } catch (const Error& e) {
+    EXPECT_TRUE(e.code() == Errc::kProtocol || e.code() == Errc::kNotFound)
+        << to_string(e.code()) << ": " << e.what();
+    return true;
+  }
+  Writer body;
+  env.encode(body);
+  EXPECT_TRUE(std::equal(body.bytes().begin(), body.bytes().end(),
+                         bytes.begin() + consumed, bytes.end()) &&
+              body.bytes().size() == bytes.size() - consumed)
+      << "decoded body re-encodes differently";
+  if (body_ok != nullptr) *body_ok = true;
+  return true;
+}
+
+TEST(FuzzDecode, McastHeaderValidFramesRoundTrip) {
+  const uint32_t seed = dps_testing::effective_seed(0x3ca57001);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (size_t n = 0; n <= 64; ++n) {
+    bool body_ok = false;
+    EXPECT_TRUE(mcast_round_trips_or_rejects(mcast_frame_bytes(rng, n),
+                                             &body_ok))
+        << "n=" << n;
+    EXPECT_TRUE(body_ok) << "n=" << n;
+  }
+}
+
+TEST(FuzzDecode, McastHeaderRandomBytesRoundTripOrReject) {
+  const uint32_t seed = dps_testing::effective_seed(0x3ca57002);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (int round = 0; round < 500; ++round) {
+    std::vector<std::byte> bytes(rng() % (mcast_header_size(64) + 64));
+    for (auto& b : bytes) b = static_cast<std::byte>(rng() & 0xff);
+    // Small counts are where random bytes can actually decode.
+    if (bytes.size() >= 5 && rng() % 2 == 0) {
+      bytes[0] = std::byte{0};
+      const uint32_t n = rng() % 8;
+      std::memcpy(bytes.data() + 1, &n, sizeof(n));
+    }
+    (void)mcast_round_trips_or_rejects(bytes);
+  }
+}
+
+TEST(FuzzDecode, McastHeaderTruncationsAreRejected) {
+  const uint32_t seed = dps_testing::effective_seed(0x3ca57003);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (size_t n = 0; n <= 64; ++n) {
+    const std::vector<std::byte> full = mcast_frame_bytes(rng, n);
+    const size_t header = mcast_header_size(n);
+    for (size_t len = 0; len < full.size(); ++len) {
+      const std::vector<std::byte> part(
+          full.begin(), full.begin() + static_cast<ptrdiff_t>(len));
+      bool body_ok = true;
+      const bool header_ok = mcast_round_trips_or_rejects(part, &body_ok);
+      EXPECT_EQ(header_ok, len >= header) << "n=" << n << ", len=" << len;
+      EXPECT_FALSE(body_ok) << "n=" << n << ", len=" << len;
+    }
+  }
+}
+
+TEST(FuzzDecode, McastHeaderMutatedFramesRoundTripOrReject) {
+  const uint32_t seed = dps_testing::effective_seed(0x3ca57004);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  int decoded = 0, rejected = 0;
+  for (int round = 0; round < 1000; ++round) {
+    const size_t n = rng() % 65;
+    std::vector<std::byte> bytes = mcast_frame_bytes(rng, n);
+    // One byte of the header: the topology byte, the count, or an entry.
+    const size_t pos = rng() % mcast_header_size(n);
+    bytes[pos] ^= static_cast<std::byte>(1 + rng() % 255);
+    ++(mcast_round_trips_or_rejects(bytes) ? decoded : rejected);
+  }
+  EXPECT_GT(decoded, 0) << "no mutation left a decodable header";
+  EXPECT_GT(rejected, 0) << "no mutation was rejected";
+}
+
+TEST(FuzzDecode, McastHeaderOverlongCountRaisesBeforeAllocating) {
+  const uint32_t seed = dps_testing::effective_seed(0x3ca57005);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (size_t n = 0; n <= 64; ++n) {
+    std::vector<std::byte> bytes = mcast_frame_bytes(rng, n);
+    // One entry more than the whole rest of the frame holds, and 2^32 - 1,
+    // which would ask for 48 GiB if the decode sized its vector first.
+    const uint64_t fits = (bytes.size() - 5) / sizeof(McastEntry);
+    for (uint64_t claim : {fits + 1, uint64_t{0xffffffff}}) {
+      const auto count = static_cast<uint32_t>(claim);
+      std::memcpy(bytes.data() + 1, &count, sizeof(count));
+      Reader r(bytes);
+      try {
+        (void)decode_mcast_header(r);
+        ADD_FAILURE() << "count " << count << " decoded, n=" << n;
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), Errc::kProtocol) << e.what();
+      }
+    }
   }
 }
 

@@ -12,6 +12,7 @@
 #include "life/fast_step.hpp"
 #include "life/world.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "test_seed.hpp"
 #include "util/error.hpp"
 
@@ -210,6 +211,57 @@ TEST(LifeFast, LeafCellsCounterCountsSteppedCells) {
   (void)step_band(band, dead, dead);
   const uint64_t after = cells.value();
   EXPECT_EQ(after - before, 12u * 30u);
+}
+
+/// A step_band that switches the flight recorder on before it runs the
+/// naive kernel, so the kLeafStep interval around it begins while the
+/// recorder is off and ends while it is on.
+Band enable_recorder_then_step(const Band& band,
+                               const std::vector<uint8_t>& above,
+                               const std::vector<uint8_t>& below) {
+  obs::Trace::instance().set_enabled(true);
+  return step_band_naive(band, above, below);
+}
+
+TEST(LifeFast, LeafStepThatStraddlesEnableRecordsNoClockReading) {
+  SelectionGuard guard;
+  active_life_kernel();  // ensure the built-in kernels register first
+  if (LifeBackends::find("enable-recorder") == nullptr) {
+    LifeBackends::register_backend(
+        "enable-recorder",
+        LifeKernel{&enable_recorder_then_step, &step_interior_naive,
+                   &step_borders_naive, /*id=*/99});
+  }
+  LifeBackends::select("enable-recorder");
+
+  obs::Trace& trace = obs::Trace::instance();
+  trace.configure({/*enabled=*/false, /*sample_every=*/1,
+                   /*buffer_capacity=*/256});
+  trace.reset();
+  std::mt19937 rng(dps_testing::effective_seed(0x57e9u));
+  const Band band = random_band(16, 40, rng);
+  const std::vector<uint8_t> dead;
+  // The first step straddles set_enabled(true); the second runs with the
+  // recorder on from start to end.
+  uint64_t wall_ns = 0;
+  for (int i = 0; i < 2; ++i) {
+    const uint64_t t0 = obs::trace_clock_ns();
+    (void)step_band(band, dead, dead);
+    wall_ns = std::max(wall_ns, obs::trace_clock_ns() - t0);
+  }
+  const std::vector<obs::TaggedEvent> events = trace.collect();
+  trace.set_enabled(false);
+  trace.reset();
+
+  size_t steps = 0;
+  for (const obs::TaggedEvent& ev : events) {
+    if (ev.e.kind != static_cast<uint16_t>(obs::EventKind::kLeafStep)) continue;
+    ++steps;
+    EXPECT_EQ(ev.e.a, 99u);
+    EXPECT_LE(ev.e.d, wall_ns)
+        << "a kLeafStep duration must not exceed the step's wall time";
+  }
+  EXPECT_EQ(steps, 1u) << "only the step that began while recording counts";
 }
 
 }  // namespace

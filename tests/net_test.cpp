@@ -1,6 +1,8 @@
 // Unit tests for the network substrate: RAII sockets, framing, the
 // in-process fabric, the real-TCP fabric, and the name registry.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -14,6 +16,7 @@
 #include "net/name_registry.hpp"
 #include "net/shm_fabric.hpp"
 #include "net/tcp_transport.hpp"
+#include "serial/wire.hpp"
 #include "sim/domain.hpp"
 
 namespace dps {
@@ -335,6 +338,50 @@ TEST(ShmFabric, HighVolumeExactlyOnceFifo) {
     }
   }
   fabric.shutdown();
+}
+
+// A record header is read from memory any local process can write, so a
+// length above kMaxFrameLength must be refused before the receive thread
+// sizes a buffer from it: the inbox reports the ring's peer down and never
+// delivers a frame, and stop() still releases the producer parked on the
+// ring nobody drains any more.
+TEST(ShmFabric, OverlongRecordIsRefusedBeforeAllocating) {
+  if (!shm_available()) GTEST_SKIP() << "POSIX shm unavailable or DPS_SHM=0";
+  const std::string name =
+      "/dps-shm-test-overlong-" + std::to_string(::getpid());
+  ShmInbox inbox(name, /*self=*/1, /*peers=*/2, /*ring_bytes=*/4096);
+  std::mutex mu;
+  std::condition_variable cv;
+  std::vector<NodeMessage> got;
+  inbox.start([&](std::vector<NodeMessage>&& batch) {
+    std::lock_guard<std::mutex> lock(mu);
+    for (NodeMessage& m : batch) got.push_back(std::move(m));
+    cv.notify_all();
+  });
+  // The source is never written, so its pages are all the shared zero page.
+  const size_t len = size_t{kMaxFrameLength} + 1;
+  void* src = ::mmap(nullptr, len, PROT_READ, MAP_PRIVATE | MAP_ANONYMOUS, -1,
+                     0);
+  ASSERT_NE(src, MAP_FAILED);
+  ShmPeerTx tx(name, /*self=*/0);
+  std::atomic<bool> sent{true};
+  std::thread producer([&] {
+    sent = tx.send(FrameKind::kEnvelope, static_cast<const std::byte*>(src),
+                   len, nullptr, 0);
+  });
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait_for(lock, std::chrono::seconds(10), [&] { return !got.empty(); });
+  }
+  inbox.stop();
+  producer.join();
+  ::munmap(src, len);
+  EXPECT_FALSE(sent) << "stop() must fail the parked send";
+  ASSERT_EQ(got.size(), 1u);
+  EXPECT_EQ(got[0].kind, FrameKind::kPeerDown);
+  EXPECT_EQ(got[0].from, 0u);
+  Reader r(got[0].payload);
+  EXPECT_NE(r.get_string().find("frame limit"), std::string::npos);
 }
 
 TEST(TcpFabric, LazyConnectionsAndOrder) {

@@ -1,9 +1,9 @@
 // Flight-recorder unit tests: ring-buffer wraparound and concurrent drains
 // (the TSan target), Chrome-JSON and binary round-trips, metrics, and the
 // TraceQuery assertions (happens-before, per-link order, overlap windows)
-// on hand-built event streams. These run in every build; tests that need
-// the engine to *emit* events live in core_engine_test / chaos_test and
-// skip themselves when DPS_TRACE is compiled out.
+// on hand-built event streams, plus the engine's runtime switch: a cluster
+// records nothing while the recorder is off. Tests that assert on the
+// events a schedule emits live in core_engine_test / chaos_test.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,11 +11,13 @@
 #include <thread>
 #include <vector>
 
+#include "core/cluster.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "obs/trace_format.hpp"
 #include "obs/trace_query.hpp"
 #include "serial/wire.hpp"
+#include "tests/toupper_app.hpp"
 #include "util/error.hpp"
 
 namespace dps::obs {
@@ -153,6 +155,41 @@ TEST(Obs, RecorderDisabledByDefaultAndTogglable) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+/// One toupper call on a two-node in-process cluster, so tokens cross the
+/// fabric as well as local mailboxes.
+void run_toupper_call() {
+  Cluster cluster(ClusterConfig::inproc(2));
+  Application app(cluster, "toupper");
+  auto graph = dps_tutorial::build_toupper_graph(app, 4);
+  ActorScope scope(cluster.domain(), "main");
+  auto result = token_cast<dps_tutorial::StringToken>(
+      graph->call(new dps_tutorial::StringToken("recorder switch")));
+  ASSERT_TRUE(result);
+  EXPECT_EQ(std::string(result->str, static_cast<size_t>(result->len)),
+            "RECORDER SWITCH");
+}
+
+// The engine's instrumentation is in every build; the runtime switch alone
+// decides whether it records.
+TEST(Obs, EngineRecordsOnlyWhileEnabled) {
+  Trace& trace = Trace::instance();
+  trace.configure({/*enabled=*/false, /*sample_every=*/1,
+                   /*buffer_capacity=*/4096});
+  trace.reset();
+  run_toupper_call();
+  EXPECT_EQ(trace.events_recorded(), 0u);
+
+  trace.set_enabled(true);
+  run_toupper_call();
+  TraceQuery q(trace.collect());
+  trace.set_enabled(false);
+  trace.reset();
+  for (EventKind kind : {EventKind::kOpStart, EventKind::kOpEnd,
+                         EventKind::kEnqueue, EventKind::kFabricSend}) {
+    EXPECT_GT(q.count(kind), 0u) << to_string(kind);
+  }
 }
 
 TEST(Obs, SamplingRecordsOneInN) {
