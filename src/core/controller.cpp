@@ -530,7 +530,7 @@ class Controller::ExecCtx : public detail::OpServices {
       obs::Trace::instance().record(obs::EventKind::kMcastSend,
                                     controller_.self_, target, K,
                                     remote_count,
-                                    body == nullptr ? 0 : body->size());
+                                    body.size());
       static obs::Counter& collectives =
           obs::Metrics::instance().counter("dps.mcast.collectives");
       collectives.inc();
@@ -1057,12 +1057,12 @@ void Controller::fabric_send(NodeId target, FrameKind kind,
     obs::Trace::instance().record(
         obs::EventKind::kFabricSend, self_, target,
         static_cast<uint64_t>(kind), 0,
-        payload.size() + (body == nullptr ? 0 : body->size()));
+        payload.size() + body.size());
     static obs::Counter& sent =
         obs::Metrics::instance().counter("dps.fabric.frames_sent");
     sent.inc();
   }
-  if (body != nullptr) {
+  if (body) {
     cluster_.fabric().send_shared(self_, target, kind, std::move(payload),
                                   std::move(body));
   } else {
@@ -1086,12 +1086,8 @@ void Controller::mcast_ship(NodeId node, const McastEntry* entries, size_t n,
 
 void Controller::send_envelope(NodeId target, FrameKind kind,
                                const Envelope& env) {
-  // One exact-size pooled allocation per cross-node envelope: encoded_size
-  // is arithmetic, so Writer never reallocates mid-encode.
-  Writer w(BufferPool::instance().acquire(env.encoded_size()));
-  env.encode(w);
-  BufferPool::instance().note_growth(w.growth_count());
-  fabric_send(target, kind, w.take());
+  WireEnvelope w = env.encode_for_wire();
+  fabric_send(target, kind, std::move(w.head), std::move(w.tail));
 }
 
 void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
@@ -1127,12 +1123,9 @@ void Controller::on_fabric_batch(std::vector<NodeMessage>&& msgs) {
                                 ") from node " + std::to_string(msg.from) +
                                 ": " + e.what());
     }
-    // A large frame no token adopted goes back to the pool. Small ones are
-    // freed: returning ~1 kB frames as well costs more in the pool's lock
-    // and free-list scan than the allocations it saves.
-    if (msg.payload.capacity() >= kPooledBlockBytes) {
-      BufferPool::instance().release(std::move(msg.payload));
-    }
+    // A frame no token adopted goes back to the pool (which frees a small
+    // one without taking its lock).
+    BufferPool::instance().release(std::move(msg.payload));
   }
   // ~DeliveryBatch flushes the grouped envelopes.
 }

@@ -178,13 +178,12 @@ class Controller {
   /// The single exit point for engine frames: ships `payload` (followed
   /// by the shared `body`, when set) through the cluster fabric.
   void fabric_send(NodeId target, FrameKind kind,
-                   std::vector<std::byte> payload,
-                   SharedPayload body = nullptr);
+                   std::vector<std::byte> payload, SharedPayload body = {});
   /// Ships one kMcastEnvelope frame listing `n` destinations on `node`;
   /// `body` is the collective's single encoded envelope.
   void mcast_ship(NodeId node, const McastEntry* entries, size_t n,
                   const SharedPayload& body);
-  /// Encodes `env` into one exact-size pooled buffer and ships it.
+  /// Encodes `env` (Envelope::encode_for_wire) and ships it.
   void send_envelope(NodeId target, FrameKind kind, const Envelope& env);
   /// Decodes one engine frame into `batch`; raises Error on a malformed
   /// frame. A decoded token may adopt `msg.payload`, leaving it empty.

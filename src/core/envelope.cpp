@@ -1,7 +1,9 @@
 #include "core/envelope.hpp"
 
+#include <memory>
 #include <string>
 
+#include "serial/buffer_pool.hpp"
 #include "util/error.hpp"
 
 namespace dps {
@@ -29,6 +31,25 @@ void Envelope::encode(Writer& w) const {
   for (const SplitFrame& f : frames) w.put(f);
   DPS_CHECK(token.get() != nullptr, "encoding an envelope without a token");
   serialize_token(*token, w);
+}
+
+WireEnvelope Envelope::encode_for_wire() const {
+  // encoded_size is arithmetic, so the head is sized exactly and Writer
+  // never reallocates mid-encode.
+  const size_t size = encoded_size();
+  size_t tail = token_tail_run(*token);
+  if (tail < kPooledBlockBytes) tail = 0;
+  Writer w(BufferPool::instance().acquire(size - tail));
+  if (tail > 0) w.defer_run(size - tail, tail);
+  encode(w);
+  BufferPool::instance().note_growth(w.growth_count());
+  WireEnvelope out;
+  if (w.run() != nullptr) {
+    out.tail = SharedPayload(w.run(), w.run_size(),
+                             std::make_shared<const Ptr<Token>>(token));
+  }
+  out.head = w.take();
+  return out;
 }
 
 Envelope Envelope::decode(Reader& r) {

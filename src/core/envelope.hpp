@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "core/ids.hpp"
+#include "net/framing.hpp"
 #include "serial/registry.hpp"
 #include "serial/wire.hpp"
 
@@ -59,6 +60,16 @@ inline FlowAck decode_flow_ack(Reader& r) {
   return ack;
 }
 
+/// An envelope encoded for another node: Envelope::encode()'s bytes are
+/// `head` followed by `tail`.
+struct WireEnvelope {
+  std::vector<std::byte> head;
+  /// The token's closing Buffer<T> run, by reference, when it holds at
+  /// least kPooledBlockBytes: it points into the token and keeps it alive.
+  /// Otherwise empty, and `head` holds every byte.
+  SharedPayload tail;
+};
+
 struct Envelope {
   AppId app = 0;
   GraphId graph = 0;
@@ -80,6 +91,11 @@ struct Envelope {
   const SplitFrame& top_frame() const;
 
   void encode(Writer& w) const;
+  /// encode() for a frame: one exact-size head, plus the token's large
+  /// closing Buffer<T> by reference, so the sender copies it only into the
+  /// socket or ring. A run that ends the envelope is what a receiver
+  /// adopts, so the two thresholds are one (kPooledBlockBytes).
+  WireEnvelope encode_for_wire() const;
   /// Decodes the rest of `r`, which must be exactly one envelope: bytes
   /// left after it raise Error(kProtocol).
   static Envelope decode(Reader& r);

@@ -145,6 +145,14 @@ struct ProcessFabric::Impl {
       Frame hello;
       if (!read_frame(conn, &hello) || hello.kind != FrameKind::kHello) return;
       const NodeId peer = hello.from;
+      if (peer >= node_count) {
+        // Every later frame is tagged with this id: refuse a node that
+        // does not exist, as a connection without a hello is.
+        DPS_WARN("process fabric node " << self << ": hello from node "
+                                        << peer << " of a " << node_count
+                                        << "-node run, dropping");
+        return;
+      }
       Frame f;
       while (read_frame(conn, &f)) {
         if (f.kind == FrameKind::kShutdown) {

@@ -50,7 +50,7 @@ bool ChaosFabric::severed(NodeId from, NodeId to) const {
 
 void ChaosFabric::send(NodeId from, NodeId to, FrameKind kind,
                        std::vector<std::byte> payload) {
-  inject(from, to, kind, std::move(payload), nullptr);
+  inject(from, to, kind, std::move(payload), {});
 }
 
 void ChaosFabric::send_shared(NodeId from, NodeId to, FrameKind kind,
@@ -70,7 +70,7 @@ void ChaosFabric::forward(NodeId from, NodeId to, FrameKind kind,
 
 void ChaosFabric::inject(NodeId from, NodeId to, FrameKind kind,
                          std::vector<std::byte> payload, SharedPayload body) {
-  const size_t frame_bytes = payload.size() + (body ? body->size() : 0);
+  const size_t frame_bytes = payload.size() + body.size();
   {
     MutexLock lock(mu_);
     if (down_) return;
@@ -154,23 +154,25 @@ void ChaosFabric::timer_loop() {
                                         delayed_queue_.top().due - now));
       continue;
     }
-    Delayed d = delayed_queue_.top();
-    delayed_queue_.pop();
-    lock.unlock();
-    bool cut;
     {
-      MutexLock g(mu_);
-      cut = down_ || severed(d.from, d.to);
-    }
-    if (cut) {
-      note_drop(d.kind, d.from, d.to,
-                d.payload.size() + (d.shared ? d.shared->size() : 0));
-    } else {
-      try {
-        forward(d.from, d.to, d.kind, std::move(d.payload),
-                std::move(d.shared));
-      } catch (const Error& e) {
-        DPS_WARN("chaos fabric: delayed delivery failed: " << e.what());
+      // `d` dies before timer_mu_ is retaken: its body may hold a token.
+      Delayed d = delayed_queue_.top();
+      delayed_queue_.pop();
+      lock.unlock();
+      bool cut;
+      {
+        MutexLock g(mu_);
+        cut = down_ || severed(d.from, d.to);
+      }
+      if (cut) {
+        note_drop(d.kind, d.from, d.to, d.payload.size() + d.shared.size());
+      } else {
+        try {
+          forward(d.from, d.to, d.kind, std::move(d.payload),
+                  std::move(d.shared));
+        } catch (const Error& e) {
+          DPS_WARN("chaos fabric: delayed delivery failed: " << e.what());
+        }
       }
     }
     lock.lock();

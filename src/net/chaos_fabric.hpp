@@ -61,8 +61,10 @@ class ChaosFabric : public Fabric {
   void attach_batch(NodeId self, BatchHandler handler) override;
   void send(NodeId from, NodeId to, FrameKind kind,
             std::vector<std::byte> payload) override;
-  /// Multicast frames draw per-link faults exactly like unicast ones; a
-  /// duplicate copies only the owned prefix and re-shares the body.
+  /// Frames with a shared body (multicast, or a large token sent by
+  /// reference) draw per-link faults exactly like others; a duplicate
+  /// copies only the owned prefix and re-shares the body, and a delayed
+  /// frame keeps it until it is forwarded.
   void send_shared(NodeId from, NodeId to, FrameKind kind,
                    std::vector<std::byte> prefix, SharedPayload body) override;
   void shutdown() override;
@@ -103,7 +105,7 @@ class ChaosFabric : public Fabric {
     NodeId from, to;
     FrameKind kind;
     std::vector<std::byte> payload;
-    SharedPayload shared;  ///< optional shared body (multicast frames)
+    SharedPayload shared;  ///< optional shared body, kept until delivery
     bool operator>(const Delayed& o) const {
       return due != o.due ? due > o.due : order > o.order;
     }

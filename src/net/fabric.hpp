@@ -23,10 +23,12 @@
 #pragma once
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <vector>
 
 #include "net/framing.hpp"
+#include "serial/buffer_pool.hpp"
 
 namespace dps {
 
@@ -71,18 +73,26 @@ class Fabric {
   virtual void send(NodeId from, NodeId to, FrameKind kind,
                     std::vector<std::byte> payload) = 0;
 
-  /// Sends one message whose wire payload is `prefix` followed by `*body`.
+  /// Sends one message whose wire payload is `prefix` followed by `body`.
   /// The body is immutable and may be shared by many concurrent sends —
-  /// this is the multicast hot path: one encode, K transmits. The default
-  /// materializes the two segments into one owned payload; TcpFabric
-  /// overrides it to point an extra writev iovec at the shared bytes, and
-  /// ChaosFabric to inject per-link faults without copying the body.
+  /// the multicast hot path: one encode, K transmits — or be the large
+  /// Buffer<T> tail of a unicast token, sent by reference. The default
+  /// copies both segments once into one pooled payload; TcpFabric
+  /// overrides it to point an extra writev iovec at the body, ShmFabric to
+  /// write both straight into the ring, and ChaosFabric/ReliableFabric to
+  /// keep the body until the frame is delivered or acknowledged.
   virtual void send_shared(NodeId from, NodeId to, FrameKind kind,
                            std::vector<std::byte> prefix, SharedPayload body) {
-    std::vector<std::byte> payload = std::move(prefix);
-    if (body && !body->empty()) {
-      payload.insert(payload.end(), body->begin(), body->end());
+    BufferPool& pool = BufferPool::instance();
+    std::vector<std::byte> payload =
+        pool.acquire_sized(prefix.size() + body.size());
+    if (!prefix.empty()) {
+      std::memcpy(payload.data(), prefix.data(), prefix.size());
     }
+    if (!body.empty()) {
+      std::memcpy(payload.data() + prefix.size(), body.data(), body.size());
+    }
+    pool.release(std::move(prefix));
     send(from, to, kind, std::move(payload));
   }
 

@@ -20,9 +20,7 @@ struct WireHeader {
 };
 static_assert(sizeof(WireHeader) == 16);
 
-size_t shared_size(const Frame& frame) {
-  return frame.shared ? frame.shared->size() : 0;
-}
+size_t shared_size(const Frame& frame) { return frame.shared.size(); }
 
 /// Rejects a header before anything is allocated for its payload.
 void check_header(const WireHeader& h) {
@@ -50,10 +48,11 @@ WireHeader make_header(const Frame& frame) {
 
 SharedPayload share_pooled(std::vector<std::byte> bytes) {
   using Bytes = std::vector<std::byte>;
-  return SharedPayload(new Bytes(std::move(bytes)), [](const Bytes* p) {
-    BufferPool::instance().release(std::move(*const_cast<Bytes*>(p)));
-    delete p;
-  });
+  return std::shared_ptr<const Bytes>(
+      new Bytes(std::move(bytes)), [](const Bytes* p) {
+        BufferPool::instance().release(std::move(*const_cast<Bytes*>(p)));
+        delete p;
+      });
 }
 
 size_t frame_wire_size(const Frame& frame) {
@@ -72,8 +71,8 @@ void write_frame(TcpConn& conn, const Frame& frame) {
     ++cnt;
   }
   if (shared_size(frame) > 0) {
-    iov[cnt].iov_base = const_cast<std::byte*>(frame.shared->data());
-    iov[cnt].iov_len = frame.shared->size();
+    iov[cnt].iov_base = const_cast<std::byte*>(frame.shared.data());
+    iov[cnt].iov_len = frame.shared.size();
     ++cnt;
   }
   conn.writev_all(iov, cnt);
@@ -95,8 +94,8 @@ void write_frames(TcpConn& conn, const Frame* frames, size_t count) {
                      frames[i].payload.size()});
     }
     if (shared_size(frames[i]) > 0) {
-      iov.push_back({const_cast<std::byte*>(frames[i].shared->data()),
-                     frames[i].shared->size()});
+      iov.push_back({const_cast<std::byte*>(frames[i].shared.data()),
+                     frames[i].shared.size()});
     }
   }
   conn.writev_all(iov.data(), iov.size());
@@ -153,6 +152,15 @@ bool FrameReader::frame_buffered() const {
 
 bool FrameReader::next(Frame* out) {
   WireHeader h{};
+  if (last_bypassed_) {
+    // The chunk is empty. Read the next header alone, so a following
+    // oversized payload goes straight into its own buffer instead of
+    // having its first chunk's worth copied out of the chunk; a frame that
+    // fits refills the chunk below as usual.
+    ++recv_calls_;
+    if (!conn_.recv_all(buf_.data(), sizeof(h))) return false;  // clean EOF
+    end_ = sizeof(h);
+  }
   while (buffered() < sizeof(h)) {
     if (!fill()) {
       if (buffered() == 0) return false;  // clean EOF at a frame boundary
@@ -167,7 +175,8 @@ bool FrameReader::next(Frame* out) {
   // so a recycled buffer is not filled first.
   out->payload = BufferPool::instance().acquire_sized(h.length);
   const size_t total = sizeof(h) + h.length;
-  if (total <= buf_.size()) {
+  last_bypassed_ = total > buf_.size();
+  if (!last_bypassed_) {
     // Fits in the chunk: keep refilling so trailing frames of the same
     // burst ride along in the same recv.
     while (buffered() < total) {

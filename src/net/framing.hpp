@@ -17,10 +17,35 @@ namespace dps {
 /// Logical node index within one cluster run.
 using NodeId = uint32_t;
 
-/// Immutable payload bytes shared between several in-flight frames — the
-/// multicast body: one encode, K transmits. Receivers always see the frame
-/// as one contiguous payload; sharing is a sender-side optimization.
-using SharedPayload = std::shared_ptr<const std::vector<std::byte>>;
+/// Immutable payload bytes kept alive by an owner while frames carrying
+/// them are in flight: the multicast body (one encode, K transmits), or the
+/// large Buffer<T> tail of a token sent by reference, whose owner holds the
+/// token. Receivers always see the frame as one contiguous payload; sharing
+/// is a sender-side optimization.
+class SharedPayload {
+ public:
+  SharedPayload() = default;
+  /// `size` bytes at `data`, valid for as long as `owner` lives.
+  SharedPayload(const std::byte* data, size_t size,
+                std::shared_ptr<const void> owner)
+      : data_(data), size_(size), owner_(std::move(owner)) {}
+  /// All of `*bytes`, which owns them.
+  // NOLINTNEXTLINE(google-explicit-constructor)
+  SharedPayload(std::shared_ptr<const std::vector<std::byte>> bytes)
+      : data_(bytes ? bytes->data() : nullptr),
+        size_(bytes ? bytes->size() : 0),
+        owner_(std::move(bytes)) {}
+
+  const std::byte* data() const { return data_; }
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  explicit operator bool() const { return owner_ != nullptr; }
+
+ private:
+  const std::byte* data_ = nullptr;
+  size_t size_ = 0;
+  std::shared_ptr<const void> owner_;
+};
 
 /// Wraps `bytes` as a SharedPayload whose last owner hands the buffer back
 /// to the BufferPool.
@@ -45,9 +70,10 @@ enum class FrameKind : uint16_t {
                         ///<  envelope body]
 };
 
-/// On the wire a frame's payload is `payload` followed by `*shared` (when
+/// On the wire a frame's payload is `payload` followed by `shared` (when
 /// set). The owned part carries per-destination prefixes (headers, seq/ack
-/// wraps); the shared part is the multicast body encoded exactly once.
+/// wraps) or an envelope's encoded head; the shared part is the multicast
+/// body encoded exactly once, or a token's large Buffer<T> tail.
 struct Frame {
   FrameKind kind = FrameKind::kEnvelope;
   NodeId from = 0;
@@ -94,6 +120,11 @@ bool read_frame(TcpConn& conn, Frame* out);
 /// than the chunk bypass the buffer: the payload tail is read directly into
 /// the frame's pooled buffer (no double copy).
 ///
+/// After a frame that bypassed the chunk, the next header is read on its
+/// own: an oversized payload that follows goes straight into its own
+/// buffer and never passes through the chunk, and a frame that fits
+/// refills the chunk as usual.
+///
 /// Owned by one receiver thread; not thread safe. The chunk buffer is
 /// recycled through BufferPool on destruction.
 class FrameReader {
@@ -127,6 +158,7 @@ class FrameReader {
   std::vector<std::byte> buf_;  ///< pooled chunk buffer
   size_t pos_ = 0;              ///< next undecoded byte
   size_t end_ = 0;              ///< one past the last received byte
+  bool last_bypassed_ = false;  ///< the last frame bypassed the chunk
   uint64_t recv_calls_ = 0;
 };
 

@@ -133,7 +133,7 @@ void ReliableFabric::transmit(NodeId from, NodeId to, FrameKind kind,
 void ReliableFabric::ship(NodeId from, NodeId to, FrameKind kind,
                           std::vector<std::byte> bytes, SharedPayload body) {
   try {
-    if (body != nullptr) {
+    if (body) {
       inner_->send_shared(from, to, kind, std::move(bytes), std::move(body));
     } else {
       inner_->send(from, to, kind, std::move(bytes));
@@ -148,13 +148,17 @@ void ReliableFabric::ship(NodeId from, NodeId to, FrameKind kind,
 
 // --- Receive side ----------------------------------------------------------
 
-void ReliableFabric::retire_locked(Link& l, uint64_t ack) {
-  l.unacked.erase(l.unacked.begin(), l.unacked.upper_bound(ack));
+void ReliableFabric::retire_locked(Link& l, uint64_t ack,
+                                   std::vector<Pending>* retired) {
+  const auto end = l.unacked.upper_bound(ack);
+  for (auto it = l.unacked.begin(); it != end; it = l.unacked.erase(it)) {
+    retired->push_back(std::move(it->second));
+  }
 }
 
 ReliableFabric::Verdict ReliableFabric::receive_locked(
     NodeId self, Endpoint& ep, NodeMessage& msg, double now,
-    std::vector<Control>* reacks) {
+    std::vector<Control>* reacks, std::vector<Pending>* retired) {
   const FrameKind kind = msg.kind;
   if (kind != FrameKind::kReliable && kind != FrameKind::kAck &&
       kind != FrameKind::kHeartbeat) {
@@ -170,7 +174,7 @@ ReliableFabric::Verdict ReliableFabric::receive_locked(
       const uint64_t ack = r.get<uint64_t>();
       obs::Trace::instance().record(obs::EventKind::kAckRecv, self, msg.from, 0,
                                     ack, 0);
-      retire_locked(l, ack);
+      retire_locked(l, ack, retired);
       l.last_heard = now;
       return Verdict::kConsumed;
     }
@@ -179,7 +183,7 @@ ReliableFabric::Verdict ReliableFabric::receive_locked(
     const auto inner = static_cast<FrameKind>(r.get<uint16_t>());
     obs::Trace::instance().record(obs::EventKind::kAckRecv, self, msg.from, 0,
                                   ack, 0);
-    retire_locked(l, ack);
+    retire_locked(l, ack, retired);
     l.last_heard = now;
     if (seq <= l.rx_contig || l.rx_above.count(seq) != 0) {
       // A retransmission that crossed our ack, or an injected copy: drop
@@ -230,19 +234,21 @@ void ReliableFabric::on_batch(NodeId self,
   Endpoint& ep = *endpoints_[self];
   std::vector<Verdict> verdicts(msgs.size());
   std::vector<Control> reacks;  // one per peer: the last ack covers the rest
+  std::vector<Pending> retired;
   BatchHandler up;
   {
     MutexLock lock(ep.mu);
     up = ep.handler;
     const double now = mono_seconds();
     for (size_t i = 0; i < msgs.size(); ++i) {
-      verdicts[i] = receive_locked(self, ep, msgs[i], now, &reacks);
+      verdicts[i] = receive_locked(self, ep, msgs[i], now, &reacks, &retired);
     }
   }
+  retired.clear();  // acked bodies and the tokens they hold die here
   for (const Control& a : reacks) {
     obs::Trace::instance().record(obs::EventKind::kAckSend, self, a.peer, 0,
                                   a.ack, 0);
-    ship(self, a.peer, FrameKind::kAck, ack_payload(a.ack), nullptr);
+    ship(self, a.peer, FrameKind::kAck, ack_payload(a.ack), {});
   }
   // Frames are self-contained engine messages: out-of-order delivery is
   // harmless (merge contexts collect by SplitFrame, not arrival order), so
@@ -283,7 +289,7 @@ std::vector<NodeId> ReliableFabric::tick(NodeId self, double now) {
         const uint64_t ack = piggyback_locked(l);
         obs::Trace::instance().record(obs::EventKind::kAckSend, self, peer, 0,
                                       ack, 0);
-        outs.push_back({peer, FrameKind::kAck, ack_payload(ack), nullptr});
+        outs.push_back({peer, FrameKind::kAck, ack_payload(ack), {}});
       }
       for (auto& [seq, p] : l.unacked) {
         if (p.next_due > now) continue;
@@ -334,7 +340,7 @@ void ReliableFabric::send_heartbeats(NodeId self) {
     obs::Trace::instance().record(obs::EventKind::kHeartbeat, self, b.peer, 0,
                                   b.ack, 0);
     // Best effort: a missed beacon is exactly what detection measures.
-    ship(self, b.peer, FrameKind::kHeartbeat, ack_payload(b.ack), nullptr);
+    ship(self, b.peer, FrameKind::kHeartbeat, ack_payload(b.ack), {});
   }
 }
 

@@ -153,10 +153,13 @@ class ReliableFabric : public Fabric {
   /// Seq/ack processing of one arriving frame. A malformed reliability
   /// frame is rewritten in place into a kPeerDown report from its sender.
   Verdict receive_locked(NodeId self, Endpoint& ep, NodeMessage& msg,
-                         double now, std::vector<Control>* reacks)
-      DPS_REQUIRES(ep.mu);
-  /// Drops every frame of `l` that `ack` covers.
-  static void retire_locked(Link& l, uint64_t ack);
+                         double now, std::vector<Control>* reacks,
+                         std::vector<Pending>* retired) DPS_REQUIRES(ep.mu);
+  /// Moves every frame of `l` that `ack` covers into `retired`, for the
+  /// caller to destroy after it releases the lock: a body may hold a token,
+  /// whose destructor must not run under ep.mu.
+  static void retire_locked(Link& l, uint64_t ack,
+                            std::vector<Pending>* retired);
   /// The cumulative ack to piggyback on a frame leaving on `l` now.
   static uint64_t piggyback_locked(Link& l);
 

@@ -652,10 +652,8 @@ void ShmFabric::send_shared(NodeId from, NodeId to, FrameKind kind,
     if (down_) return;
   }
   DPS_CHECK(from < nodes_ && to < nodes_, "shm send: node id out of range");
-  const std::byte* b = body && !body->empty() ? body->data() : nullptr;
-  const size_t nb = b != nullptr ? body->size() : 0;
-  if (tx_[from * nodes_ + to]->send(kind, prefix.data(), prefix.size(), b,
-                                    nb)) {
+  if (tx_[from * nodes_ + to]->send(kind, prefix.data(), prefix.size(),
+                                    body.data(), body.size())) {
     messages_.fetch_add(1, std::memory_order_relaxed);
   }
   BufferPool::instance().release(std::move(prefix));

@@ -142,9 +142,9 @@ class ShmFabric : public Fabric {
   void attach_batch(NodeId self, BatchHandler handler) override;
   void send(NodeId from, NodeId to, FrameKind kind,
             std::vector<std::byte> payload) override;
-  /// Writes prefix + shared body straight into the ring: the multicast
-  /// body is copied once per ring and never materialized into an owned
-  /// per-destination payload.
+  /// Writes prefix + shared body straight into the ring: a multicast body,
+  /// or the large Buffer<T> tail of a token sent by reference, is copied
+  /// once per ring and never materialized into an owned payload.
   void send_shared(NodeId from, NodeId to, FrameKind kind,
                    std::vector<std::byte> prefix, SharedPayload body) override;
   void shutdown() override;

@@ -81,7 +81,16 @@ void TcpFabric::receiver_loop(NodeId self, std::shared_ptr<TcpConn> conn) {
     DPS_WARN("tcp fabric: connection torn during hello, dropping");
     return;
   }
+  // Every later frame of the connection is tagged with this id, and the
+  // controller trusts it: a peer that names a node outside the fabric is
+  // refused like one that sends no hello at all.
   const NodeId peer = hello.from;
+  if (peer >= nodes_.size()) {
+    DPS_WARN("tcp fabric: hello from node " << peer << " of a "
+                                            << nodes_.size()
+                                            << "-node fabric, dropping");
+    return;
+  }
   BatchHandler handler;
   {
     MutexLock lock(mu_);
@@ -193,13 +202,16 @@ void TcpFabric::sender_loop(OutConn& oc) {
     hello.from = oc.from;
     write_frame(oc.conn, hello);
   } catch (const Error& e) {
+    // Frames may hold tokens (a body sent by reference): they are destroyed
+    // after oc.mu is released, with `undeliverable`.
+    std::deque<Frame> undeliverable;
     MutexLock lock(oc.mu);
     if (!oc.closed) {
       DPS_WARN("tcp fabric: connect " << oc.from << "->" << oc.to
                                       << " failed: " << e.what());
     }
     oc.failed = true;
-    oc.queue.clear();
+    undeliverable.swap(oc.queue);
     oc.queued_bytes = 0;
     oc.space.notify_all();
   }
@@ -237,13 +249,14 @@ void TcpFabric::sender_loop(OutConn& oc) {
         BufferPool::instance().release(std::move(f.payload));
       }
     } catch (const Error& e) {
+      std::deque<Frame> undeliverable;  // destroyed after oc.mu is released
       MutexLock lock(oc.mu);
       if (!oc.closed && !oc.failed) {
         DPS_WARN("tcp fabric: send " << oc.from << "->" << oc.to
                                      << " failed: " << e.what());
       }
       oc.failed = true;
-      oc.queue.clear();  // undeliverable; peer's receiver reports the tear
+      undeliverable.swap(oc.queue);  // peer's receiver reports the tear
       oc.queued_bytes = 0;
       oc.space.notify_all();
     }

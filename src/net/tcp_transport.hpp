@@ -41,9 +41,11 @@ class TcpFabric : public Fabric {
   void attach_batch(NodeId self, BatchHandler handler) override;
   void send(NodeId from, NodeId to, FrameKind kind,
             std::vector<std::byte> payload) override;
-  /// Zero-copy multicast hot path: the shared body rides the frame as a
-  /// separate writev iovec, never copied into the per-frame payload. The
-  /// sender releases only the owned prefix buffer to the BufferPool.
+  /// Zero-copy path for multicast bodies and large tokens sent by
+  /// reference: the body rides the frame as a separate writev iovec, never
+  /// copied into the per-frame payload, and the frame keeps it alive until
+  /// the sender thread has written it. The sender releases only the owned
+  /// prefix buffer to the BufferPool.
   void send_shared(NodeId from, NodeId to, FrameKind kind,
                    std::vector<std::byte> prefix, SharedPayload body) override;
   void shutdown() override;

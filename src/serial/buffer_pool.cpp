@@ -2,6 +2,10 @@
 
 namespace dps {
 
+namespace {
+constexpr auto kRelaxed = std::memory_order_relaxed;
+}  // namespace
+
 BufferPool& BufferPool::instance() {
   // Leaked on purpose: a Buffer<T> inside a static token may return its
   // block during static destruction, after a function-local static pool
@@ -17,9 +21,9 @@ std::vector<std::byte> BufferPool::take(size_t n, bool sized) {
   const auto fits = [n, sized](const std::vector<std::byte>& b) {
     return (sized ? b.size() : b.capacity()) >= n;
   };
+  acquires_.fetch_add(1, kRelaxed);
   std::vector<std::byte> buf;
   MutexLock lock(mu_);
-  ++stats_.acquires;
   // Prefer the smallest retained buffer that fits; fall back to the
   // largest one (topping it up writes only the bytes it lacks).
   size_t best = free_.size();
@@ -39,21 +43,30 @@ std::vector<std::byte> BufferPool::take(size_t n, bool sized) {
   if (best < free_.size()) {
     buf = std::move(free_[best]);
     free_.erase(free_.begin() + static_cast<ptrdiff_t>(best));
-    if (buf.capacity() >= n) ++stats_.reuses;
+    if (buf.capacity() >= n) reuses_.fetch_add(1, kRelaxed);
   }
   return buf;
 }
 
 std::vector<std::byte> BufferPool::acquire(size_t size_hint) {
-  std::vector<std::byte> buf = take(size_hint, false);
-  // clear() is free for bytes, and it must come before reserve() so that
-  // a regrow copies no stale byte.
-  buf.clear();
+  std::vector<std::byte> buf;
+  if (size_hint < kPooledBlockBytes) {
+    acquires_.fetch_add(1, kRelaxed);
+  } else {
+    buf = take(size_hint, false);
+    // clear() is free for bytes, and it must come before reserve() so that
+    // a regrow copies no stale byte.
+    buf.clear();
+  }
   if (buf.capacity() < size_hint) buf.reserve(size_hint);
   return buf;
 }
 
 std::vector<std::byte> BufferPool::acquire_sized(size_t n) {
+  if (n < kPooledBlockBytes) {
+    acquires_.fetch_add(1, kRelaxed);
+    return std::vector<std::byte>(n);
+  }
   std::vector<std::byte> buf = take(n, true);
   // A fitting buffer has size() >= n: resize shrinks it and writes
   // nothing. A shorter one with room zero-fills only the bytes it lacks; a
@@ -66,32 +79,44 @@ std::vector<std::byte> BufferPool::acquire_sized(size_t n) {
 
 void BufferPool::release(std::vector<std::byte> buf) {
   if (buf.capacity() == 0) return;
-  MutexLock lock(mu_);
-  if (free_.size() >= kMaxFreeBuffers ||
+  if (buf.capacity() < kPooledBlockBytes ||
       buf.capacity() > kMaxRetainedCapacity) {
-    ++stats_.dropped;
+    dropped_.fetch_add(1, kRelaxed);
     return;  // buf destructs outside the pool
   }
-  // The buffer keeps its size: those bytes are what acquire_sized can
-  // hand out again without writing.
-  ++stats_.releases;
-  free_.push_back(std::move(buf));
+  {
+    MutexLock lock(mu_);
+    if (free_.size() < kMaxFreeBuffers) {
+      // The buffer keeps its size: those bytes are what acquire_sized can
+      // hand out again without writing.
+      free_.push_back(std::move(buf));
+      releases_.fetch_add(1, kRelaxed);
+      return;
+    }
+  }
+  dropped_.fetch_add(1, kRelaxed);
 }
 
 BufferPool::Stats BufferPool::stats() const {
-  MutexLock lock(mu_);
-  return stats_;
+  Stats s;
+  s.acquires = acquires_.load(kRelaxed);
+  s.reuses = reuses_.load(kRelaxed);
+  s.releases = releases_.load(kRelaxed);
+  s.dropped = dropped_.load(kRelaxed);
+  s.encode_growths = encode_growths_.load(kRelaxed);
+  return s;
 }
 
 void BufferPool::reset_stats() {
-  MutexLock lock(mu_);
-  stats_ = Stats{};
+  acquires_.store(0, kRelaxed);
+  reuses_.store(0, kRelaxed);
+  releases_.store(0, kRelaxed);
+  dropped_.store(0, kRelaxed);
+  encode_growths_.store(0, kRelaxed);
 }
 
 void BufferPool::note_growth(uint32_t growths) {
-  if (growths == 0) return;
-  MutexLock lock(mu_);
-  stats_.encode_growths += growths;
+  if (growths != 0) encode_growths_.fetch_add(growths, kRelaxed);
 }
 
 void BufferPool::trim() {

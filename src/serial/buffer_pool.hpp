@@ -1,16 +1,18 @@
 // Free-list pool for large byte buffers: encode buffers, received frames and
 // the storage of large Buffer<T> fields.
 //
-// Every envelope crossing a node boundary is encoded into one exact-size
-// byte vector (Envelope::encoded_size() + Writer::reserve). On the TCP
-// fabric the asynchronous sender owns that vector until the writev that
-// ships it completes, then returns it here; the next encode on any thread
-// reuses the capacity instead of hitting the allocator. The receive paths
-// take each frame from here with acquire_sized, and a large frame comes
-// back either when its Buffer<T> that adopted it dies or, when no field
-// adopted it, right after the controller decoded it. The pool is a
+// Only blocks of at least kPooledBlockBytes are kept. A large frame comes
+// from here on every receive path (acquire_sized) and goes back either
+// when the Buffer<T> that adopted it dies or, when no field adopted it,
+// right after the controller decoded it; a large Buffer<T> takes its block
+// from here and returns it when replaced or destroyed. The pool is a
 // process-wide singleton because buffers migrate between threads (worker
 // encodes, sender releases) and between in-process "nodes".
+//
+// A smaller request is a plain allocation and a smaller release a plain
+// free: neither takes the lock or scans the free list, which at ~1 kB per
+// frame cost more than the allocation they saved, and a small request can
+// never take (and pin) a retained large block. Both are still counted.
 //
 // The pool is deliberately small and bounded: it is a capacity cache, not
 // an arena. Dropping a buffer on the floor (e.g. the inproc fabric hands
@@ -22,6 +24,7 @@
 // writes no byte; only bytes a buffer never held are zero-filled.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -34,7 +37,8 @@ namespace dps {
 /// storage, and received frames no decode adopted. Smaller blocks use
 /// plain allocation, which at ~1 kB per frame costs less than the pool's
 /// lock. It is also the smallest Buffer<T> run a decode adopts from its
-/// frame instead of copying (serial/fields.hpp).
+/// frame instead of copying (serial/fields.hpp), and the smallest one an
+/// envelope encode sends by reference instead of copying (core/envelope.hpp).
 inline constexpr size_t kPooledBlockBytes = 16 * 1024;
 
 class BufferPool {
@@ -43,23 +47,27 @@ class BufferPool {
   /// Buffer<T> that returns storage to it, static tokens included.
   static BufferPool& instance();
 
-  /// An empty vector with capacity >= size_hint, recycled when possible.
+  /// An empty vector with capacity >= size_hint, recycled when possible
+  /// (only a size_hint of at least kPooledBlockBytes ever is).
   std::vector<std::byte> acquire(size_t size_hint);
 
-  /// A vector of size n, recycled when possible. Its bytes are unspecified
-  /// (stale bytes of a recycled buffer, zeros of a fresh one): the caller
-  /// must write every byte before exposing it.
+  /// A vector of size n, recycled when possible (only an n of at least
+  /// kPooledBlockBytes ever is). Its bytes are unspecified (stale bytes of
+  /// a recycled buffer, zeros of a fresh one): the caller must write every
+  /// byte before exposing it.
   std::vector<std::byte> acquire_sized(size_t n);
 
   /// Returns a buffer's capacity to the free list (contents are discarded).
-  /// Buffers beyond the retention caps are simply freed.
+  /// Buffers below kPooledBlockBytes or beyond the retention caps are
+  /// simply freed.
   void release(std::vector<std::byte> buf);
 
   struct Stats {
     uint64_t acquires = 0;  ///< total acquire() / acquire_sized() calls
     uint64_t reuses = 0;    ///< acquires satisfied without an allocation
     uint64_t releases = 0;  ///< buffers returned to the free list
-    uint64_t dropped = 0;   ///< releases rejected by the retention caps
+    uint64_t dropped = 0;   ///< releases freed instead: small buffers, and
+                            ///< those the retention caps reject
     uint64_t encode_growths = 0;  ///< Writer reallocations noted via
                                   ///< note_growth — zero when every encode
                                   ///< got an exact-size buffer
@@ -88,9 +96,14 @@ class BufferPool {
   static constexpr size_t kMaxFreeBuffers = 64;
   static constexpr size_t kMaxRetainedCapacity = 1 << 20;  // 1 MB each
 
-  mutable Mutex mu_;
+  Mutex mu_;
   std::vector<std::vector<std::byte>> free_ DPS_GUARDED_BY(mu_);
-  Stats stats_ DPS_GUARDED_BY(mu_);
+  // Counted without the lock, so small calls stay lock-free.
+  std::atomic<uint64_t> acquires_{0};
+  std::atomic<uint64_t> reuses_{0};
+  std::atomic<uint64_t> releases_{0};
+  std::atomic<uint64_t> dropped_{0};
+  std::atomic<uint64_t> encode_growths_{0};
 };
 
 }  // namespace dps

@@ -48,6 +48,9 @@ struct FieldOps {
   /// lets Envelope::encoded_size() size the encode buffer arithmetically
   /// instead of doing a throwaway encode.
   size_t (*wire_size)(const void* field);
+  /// Bytes of the raw run serialize() ends with (Writer::put_run), which
+  /// an encoder may leave in place; null for fields that end otherwise.
+  size_t (*tail_run)(const void* field) = nullptr;
 };
 
 struct FieldDescriptor {
@@ -108,6 +111,14 @@ class FieldTable {
     size_t n = 0;
     for (const auto& f : fields_) n += f.ops->wire_size(base + f.offset);
     return n;
+  }
+
+  /// Bytes of the raw run `object`'s encoding ends with: the elements of
+  /// its last field when that is a Buffer<T>, else 0.
+  size_t tail_run(const void* object) const {
+    if (fields_.empty() || fields_.back().ops->tail_run == nullptr) return 0;
+    const detail::FieldDescriptor& f = fields_.back();
+    return f.ops->tail_run(static_cast<const char*>(object) + f.offset);
   }
 
   size_t field_count() const { return fields_.size(); }
@@ -223,7 +234,9 @@ class CT {
 // back to it when replaced or destroyed; a smaller one is a plain
 // allocation. A large run that ends an adoptable frame (Reader::adoptable)
 // decodes without a copy: the received frame becomes the block and the
-// elements start after its envelope prefix. Copies are deep.
+// elements start after its envelope prefix. On the way out the elements
+// are a Writer run (put_run), which an envelope encode leaves in place
+// when they end the token (core/envelope.hpp). Copies are deep.
 // ---------------------------------------------------------------------------
 
 template <class T>
@@ -306,17 +319,20 @@ class Buffer {
 
   static const detail::FieldOps* ops() {
     static const detail::FieldOps o{&serialize_fn, &deserialize_fn,
-                                    &wire_size_fn};
+                                    &wire_size_fn, &tail_run_fn};
     return &o;
   }
   static void serialize_fn(const void* field, Writer& w) {
     const auto& b = *static_cast<const Buffer*>(field);
     w.put(static_cast<uint64_t>(b.size_));
-    w.put_raw(b.data_, b.size_ * sizeof(T));
+    w.put_run(b.data_, b.size_ * sizeof(T));
   }
   static size_t wire_size_fn(const void* field) {
     const auto& b = *static_cast<const Buffer*>(field);
     return sizeof(uint64_t) + b.size_ * sizeof(T);
+  }
+  static size_t tail_run_fn(const void* field) {
+    return static_cast<const Buffer*>(field)->size_ * sizeof(T);
   }
   static void deserialize_fn(void* field, Reader& r) {
     auto& b = *static_cast<Buffer*>(field);

@@ -88,6 +88,10 @@ size_t serialized_token_size(const Token& token) {
   return sizeof(info.id) + info.wire_size(token);
 }
 
+size_t token_tail_run(const Token& token) {
+  return token.typeInfo().tail_run(token);
+}
+
 Ptr<Token> deserialize_token(Reader& r) {
   const uint64_t id = r.get<uint64_t>();
   const TokenTypeInfo& info = TokenRegistry::instance().find(id);

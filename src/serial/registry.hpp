@@ -42,6 +42,9 @@ struct TokenTypeInfo {
   void (*deserialize)(Token&, Reader&) = nullptr;
   /// Exact payload size serialize() would emit (excludes the type-id tag).
   size_t (*wire_size)(const Token&) = nullptr;
+  /// Bytes of the Buffer<T> run serialize() ends with; 0 for simple tokens
+  /// and for tokens whose last field is not a Buffer<T>.
+  size_t (*tail_run)(const Token&) = nullptr;
 };
 
 /// Process-wide id -> TokenTypeInfo map. Thread safe.
@@ -71,6 +74,11 @@ void serialize_token(const Token& token, Writer& w);
 /// Exact number of bytes serialize_token(token, w) appends — the type-id
 /// tag plus the payload. Computed arithmetically (no throwaway encode).
 size_t serialized_token_size(const Token& token);
+
+/// Bytes of the Buffer<T> run serialize_token(token, w) ends with, which
+/// an encoder may leave in place (Writer::defer_run); 0 when the token does
+/// not end in a Buffer<T>.
+size_t token_tail_run(const Token& token);
 
 /// Reconstructs a token previously written by serialize_token. Throws
 /// Error(kNotFound) for unregistered types and Error(kProtocol) for
@@ -118,6 +126,13 @@ size_t complex_wire_size(const Token& t) {
   return FieldTable::of<T>().wire_size(static_cast<const T*>(&t));
 }
 
+inline size_t simple_tail_run(const Token&) { return 0; }
+
+template <class T>
+size_t complex_tail_run(const Token& t) {
+  return FieldTable::of<T>().tail_run(static_cast<const T*>(&t));
+}
+
 template <class T>
 const TokenTypeInfo& register_token(const char* name) {
   static_assert(std::is_base_of_v<Token, T>,
@@ -138,10 +153,12 @@ const TokenTypeInfo& register_token(const char* name) {
       i.serialize = &simple_serialize<T>;
       i.deserialize = &simple_deserialize<T>;
       i.wire_size = &simple_wire_size<T>;
+      i.tail_run = &simple_tail_run;
     } else {
       i.serialize = &complex_serialize<T>;
       i.deserialize = &complex_deserialize<T>;
       i.wire_size = &complex_wire_size<T>;
+      i.tail_run = &complex_tail_run<T>;
     }
     return i;
   }();

@@ -43,10 +43,37 @@ class Writer {
   /// may pass data() of an empty container, which is null.
   void put_raw(const void* data, size_t size) {
     if (size == 0) return;
+    if (run_ != nullptr) copy_run_in();
     if (buf_.size() + size > buf_.capacity()) ++growths_;
     const auto* bytes = static_cast<const std::byte*>(data);
     buf_.insert(buf_.end(), bytes, bytes + size);
   }
+
+  /// Lets the put_run of exactly `size` bytes that starts once `at` bytes
+  /// are written stay in the caller's memory: the writer records where it
+  /// is (run()) instead of copying it, and the encoding is bytes()
+  /// followed by the run. A put after the run copies it in first and counts
+  /// that as a growth, so the bytes stay correct and the zero-growth
+  /// checks notice.
+  void defer_run(size_t at, size_t size) {
+    run_at_ = at;
+    run_size_ = size;
+  }
+
+  /// put_raw for a run that defer_run may leave in place (the elements of
+  /// a Buffer<T>).
+  void put_run(const void* data, size_t size) {
+    if (run_ == nullptr && size != 0 && size == run_size_ &&
+        buf_.size() == run_at_) {
+      run_ = static_cast<const std::byte*>(data);
+      return;
+    }
+    put_raw(data, size);
+  }
+
+  /// The run defer_run left in place, or nullptr; run_size() bytes long.
+  const std::byte* run() const { return run_; }
+  size_t run_size() const { return run_ != nullptr ? run_size_ : 0; }
 
   /// Any trivially copyable scalar/struct, by value.
   template <class T>
@@ -72,13 +99,24 @@ class Writer {
   size_t capacity() const { return buf_.capacity(); }
 
   /// Number of puts that outgrew the backing buffer's capacity (each one a
-  /// reallocation + copy). Zero for a writer seeded with an exact-size
-  /// reserve — the invariant bench/micro_serialization locks in.
+  /// reallocation + copy), plus deferred runs copied in after all. Zero for
+  /// a writer seeded with an exact-size reserve — the invariant
+  /// bench/micro_serialization locks in.
   uint32_t growth_count() const { return growths_; }
 
  private:
+  void copy_run_in() {
+    const std::byte* run = std::exchange(run_, nullptr);
+    ++growths_;
+    buf_.insert(buf_.end(), run, run + run_size_);
+    run_size_ = 0;
+  }
+
   std::vector<std::byte> buf_;
   uint32_t growths_ = 0;
+  size_t run_at_ = 0;              ///< where a deferred run may start
+  size_t run_size_ = 0;            ///< its length; 0 = nothing deferred
+  const std::byte* run_ = nullptr;  ///< the deferred run, once recorded
 };
 
 /// Reads primitive values back out of a byte buffer. Every accessor checks

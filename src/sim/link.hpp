@@ -67,11 +67,12 @@ struct LinkModel {
   }
 };
 
-// Multicast note: SimFabric does not override Fabric::send_shared — shared
-// multicast bodies go through the default implementation, which materializes
-// prefix + body into one frame before send(). The simulated cost model only
-// sees frame sizes, so the copy changes nothing it measures; the zero-copy
-// iovec path is a real-transport (TcpFabric) optimization.
+// Shared-body note: SimFabric does not override Fabric::send_shared —
+// multicast bodies and large token tails sent by reference go through the
+// default implementation, which copies prefix + body into one frame before
+// send(). The simulated cost model only sees frame sizes, so the copy
+// changes nothing it measures; the zero-copy iovec path is a
+// real-transport (TcpFabric) optimization.
 class SimFabric : public Fabric {
  public:
   SimFabric(size_t node_count, ExecDomain& domain, LinkModel link);

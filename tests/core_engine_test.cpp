@@ -278,8 +278,8 @@ class SharedBodyRecorder : public Fabric {
                    std::vector<std::byte> prefix, SharedPayload body) override {
     {
       std::lock_guard<std::mutex> lock(mu);
-      bodies.push_back(body.get());
-      body_bytes.push_back(body ? body->size() : 0);
+      bodies.push_back(body.data());
+      body_bytes.push_back(body.size());
     }
     inner_->send_shared(from, to, kind, std::move(prefix), std::move(body));
   }

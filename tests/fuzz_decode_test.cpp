@@ -8,6 +8,7 @@
 #include <cstring>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <random>
 #include <thread>
 
@@ -16,6 +17,7 @@
 #include "net/framing.hpp"
 #include "net/reliable_fabric.hpp"
 #include "net/socket.hpp"
+#include "net/tcp_transport.hpp"
 #include "obs/trace_format.hpp"
 #include "serial/buffer_pool.hpp"
 #include "serial/registry.hpp"
@@ -869,9 +871,11 @@ StreamEnd reference_decode(const std::vector<std::byte>& wire,
 
 /// Writes `wire` into a loopback connection in random chunks while a
 /// FrameReader decodes the other end; checks the reader against
-/// reference_decode.
+/// reference_decode. The writer also cuts, and pauses, at every offset in
+/// `pauses`, so the reader sees the stream end there for a while.
 void expect_frame_reader_matches_reference(const std::vector<std::byte>& wire,
-                                           std::mt19937& rng) {
+                                           std::mt19937& rng,
+                                           std::vector<size_t> pauses = {}) {
   std::vector<WireFrame> want;
   const StreamEnd want_end = reference_decode(wire, &want);
 
@@ -883,13 +887,22 @@ void expect_frame_reader_matches_reference(const std::vector<std::byte>& wire,
     at += 1 + rng() % 9000;
     cuts.push_back(std::min(at, wire.size()));
   }
-  std::thread writer([&wire, &cuts, conn = std::move(tx)]() mutable {
+  std::sort(pauses.begin(), pauses.end());
+  for (const size_t at : pauses) {
+    if (at > 0 && at < wire.size()) cuts.push_back(at);
+  }
+  std::sort(cuts.begin(), cuts.end());
+  cuts.erase(std::unique(cuts.begin(), cuts.end()), cuts.end());
+  std::thread writer([&wire, &cuts, &pauses, conn = std::move(tx)]() mutable {
     size_t from = 0;
     try {
       for (size_t i = 0; i < cuts.size(); ++i) {
         conn.send_all(wire.data() + from, cuts[i] - from);
         from = cuts[i];
-        if (i % 3 == 0) std::this_thread::sleep_for(std::chrono::microseconds(50));
+        if (i % 3 == 0 ||
+            std::binary_search(pauses.begin(), pauses.end(), cuts[i])) {
+          std::this_thread::sleep_for(std::chrono::microseconds(50));
+        }
       }
     } catch (const Error&) {
       // The reader stopped early and closed its end.
@@ -972,6 +985,202 @@ TEST(FuzzDecode, FrameReaderGarbageRaisesWithoutOverAllocating) {
     if (rng() % 3 == 0) wire.resize(rng() % (wire.size() + 1));  // torn
     expect_frame_reader_matches_reference(wire, rng);
   }
+}
+
+/// A frame of `len` random payload bytes.
+WireFrame frame_of(std::mt19937& rng, size_t len) {
+  WireFrame f;
+  f.kind = static_cast<uint16_t>(1 + rng() % 10);
+  f.from = rng() % 8;
+  f.payload.resize(len);
+  for (std::byte& b : f.payload) b = static_cast<std::byte>(rng());
+  return f;
+}
+
+size_t large_length(std::mt19937& rng) {
+  return kPooledBlockBytes + rng() % (150 * 1024);
+}
+
+/// Appends a run of 1-4 large frames, each followed by a pause inside the
+/// header that comes after it. Most of them are larger than the reader's
+/// 64 kB chunk, after which it reads the next header on its own.
+void put_large_run(Writer& w, std::mt19937& rng, std::vector<size_t>* pauses) {
+  for (uint32_t i = 1 + rng() % 4; i > 0; --i) {
+    const WireFrame f = frame_of(rng, large_length(rng));
+    put_frame(w, kFrameMagic, f, static_cast<uint32_t>(f.payload.size()));
+    pauses->push_back(w.size() + 1 + rng() % 15);
+  }
+}
+
+// Runs of consecutive large frames followed by small ones: the reader
+// switches between reading a header on its own and its chunk and back, and
+// decodes every frame byte-identical whatever the split points.
+TEST(FuzzDecode, FrameReaderLargeRunsThenSmallDecodeByteIdentical) {
+  const uint32_t seed = dps_testing::effective_seed(0xf7a3e3);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (int round = 0; round < 10; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    Writer w;
+    std::vector<size_t> pauses;
+    for (uint32_t run = 1 + rng() % 3; run > 0; --run) {
+      put_large_run(w, rng, &pauses);
+      for (uint32_t i = rng() % 4; i > 0; --i) {
+        const WireFrame f = frame_of(rng, rng() % 2048);
+        put_frame(w, kFrameMagic, f, static_cast<uint32_t>(f.payload.size()));
+      }
+    }
+    expect_frame_reader_matches_reference(w.bytes(), rng, pauses);
+  }
+}
+
+// A stream that ends or goes bad right after large frames, where the next
+// header may be read on its own: an over-long or bad header raises kProtocol
+// before anything is allocated, EOF inside the header or the payload
+// raises kNetwork, and EOF at the frame boundary is a clean end.
+TEST(FuzzDecode, FrameReaderHeaderFirstEndsLikeTheChunkPath) {
+  const uint32_t seed = dps_testing::effective_seed(0xf7a3e4);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  for (int round = 0; round < 18; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    Writer w;
+    std::vector<size_t> pauses;
+    put_large_run(w, rng, &pauses);
+    if (rng() % 3 == 0) {  // a small frame puts the reader back on its chunk
+      const WireFrame f = frame_of(rng, rng() % 512);
+      put_frame(w, kFrameMagic, f, static_cast<uint32_t>(f.payload.size()));
+    }
+    const WireFrame next = frame_of(rng, rng() % 2 == 0 ? rng() % 512
+                                                        : large_length(rng));
+    const uint32_t len = static_cast<uint32_t>(next.payload.size());
+    std::vector<std::byte> wire;
+    switch (round % 6) {
+      case 0:  // clean EOF at the boundary
+        wire = w.take();
+        break;
+      case 1:  // over-long header
+        put_frame(w, kFrameMagic, next,
+                  kMaxFrameLength + 1 + rng() % (UINT32_MAX - kMaxFrameLength));
+        wire = w.take();
+        break;
+      case 2:  // bad magic
+        put_frame(w, kFrameMagic ^ (1u << (rng() % 32)), next, len);
+        wire = w.take();
+        break;
+      case 3: {  // EOF inside the header
+        const size_t at = w.size();
+        put_frame(w, kFrameMagic, next, len);
+        wire = w.take();
+        wire.resize(at + 1 + rng() % 15);
+        break;
+      }
+      case 4: {  // EOF inside the payload
+        const size_t at = w.size();
+        put_frame(w, kFrameMagic, next, len + 1);
+        wire = w.take();
+        wire.resize(at + 16 + rng() % (len + 1));
+        break;
+      }
+      default:  // a valid frame after all
+        put_frame(w, kFrameMagic, next, len);
+        wire = w.take();
+        break;
+    }
+    expect_frame_reader_matches_reference(wire, rng, pauses);
+  }
+}
+
+// --- Hello frames ------------------------------------------------------------
+//
+// Every frame of a TCP connection is tagged with the node id its hello
+// names. Random hellos, each followed by an envelope frame and a shutdown
+// frame: a hello is accepted only with an id of the fabric's, and no frame
+// is ever delivered under any other id.
+
+TEST(FuzzDecode, HelloRandomHeadersAreAcceptedInRangeOrRefused) {
+  const uint32_t seed = dps_testing::effective_seed(0x4e110);
+  SCOPED_TRACE(::testing::Message() << "seed " << seed);
+  std::mt19937 rng(seed);
+  constexpr NodeId kNodes = 4;
+  TcpFabric fabric(kNodes);
+  std::mutex mu;
+  std::vector<NodeMessage> got;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    fabric.attach(n, [&](NodeMessage&& m) {
+      std::lock_guard<std::mutex> lock(mu);
+      got.push_back(std::move(m));
+    });
+  }
+  int accepted_rounds = 0;
+  for (uint32_t round = 0; round < 48; ++round) {
+    SCOPED_TRACE(::testing::Message() << "round " << round);
+    WireFrame hello = frame_of(rng, rng() % 33);
+    const uint32_t kind_pick = rng() % 8;
+    hello.kind = kind_pick < 6 ? static_cast<uint16_t>(FrameKind::kHello)
+                               : static_cast<uint16_t>(rng());
+    const uint32_t from_pick = rng() % 3;
+    hello.from = from_pick == 0   ? rng() % kNodes
+                 : from_pick == 1 ? kNodes + rng() % 8
+                                  : static_cast<uint32_t>(rng());
+    const uint32_t magic =
+        rng() % 8 == 0 ? kFrameMagic ^ (1u << (rng() % 32)) : kFrameMagic;
+    const bool exact = rng() % 8 != 0;
+    const uint32_t length = static_cast<uint32_t>(hello.payload.size()) +
+                            (exact ? 0 : 1 + rng() % 8);
+    Writer w;
+    put_frame(w, magic, hello, length);
+    WireFrame env;
+    env.kind = static_cast<uint16_t>(FrameKind::kEnvelope);
+    env.from = static_cast<uint32_t>(rng());
+    Writer marker;
+    marker.put<uint32_t>(round);
+    env.payload = marker.take();
+    put_frame(w, kFrameMagic, env, 4);
+    WireFrame bye;
+    bye.kind = static_cast<uint16_t>(FrameKind::kShutdown);
+    put_frame(w, kFrameMagic, bye, 0);
+
+    TcpConn conn =
+        TcpConn::connect("127.0.0.1", fabric.port_of(rng() % kNodes));
+    try {
+      conn.send_all(w.bytes().data(), w.size());
+      conn.shutdown_write();
+      // The receiver closes the connection when it is done with it, after
+      // delivering whatever it accepted.
+      char sink;
+      while (conn.recv_all(&sink, 1)) {
+      }
+    } catch (const Error&) {
+      // reset by a receiver that refused the stream: just as final
+    }
+    conn.close();
+
+    const bool valid = magic == kFrameMagic &&
+                       hello.kind == static_cast<uint16_t>(FrameKind::kHello) &&
+                       hello.from < kNodes;
+    std::vector<NodeMessage> round_got;
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      round_got.swap(got);
+    }
+    for (const NodeMessage& m : round_got) {
+      EXPECT_TRUE(valid) << "a frame delivered for a refused hello";
+      EXPECT_EQ(m.from, hello.from) << "delivered under another id";
+      EXPECT_LT(m.from, kNodes);
+    }
+    if (valid && exact) {
+      ++accepted_rounds;
+      ASSERT_EQ(round_got.size(), 1u);
+      EXPECT_EQ(round_got[0].kind, FrameKind::kEnvelope);
+      Reader r(round_got[0].payload);
+      EXPECT_EQ(r.get<uint32_t>(), round);
+    } else if (!valid) {
+      EXPECT_TRUE(round_got.empty());
+    }
+  }
+  EXPECT_GT(accepted_rounds, 0) << "the sweep must accept some hellos";
+  fabric.shutdown();
 }
 
 }  // namespace

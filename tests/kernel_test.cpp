@@ -7,10 +7,15 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <mutex>
 #include <string>
 #include <thread>
+#include <vector>
 
+#include "kernel/kernel.hpp"
 #include "kernel/name_server.hpp"
+#include "net/framing.hpp"
+#include "net/socket.hpp"
 
 namespace dps {
 namespace {
@@ -116,6 +121,51 @@ TEST(Spmd, MultiprocessToUpperFallsBackToTcpWhenShmDisabled) {
   EXPECT_EQ(WEXITSTATUS(status), 0) << output;
   EXPECT_NE(output.find("output: MULTI PROCESS DPS"), std::string::npos)
       << output;
+}
+
+// A peer that names a node outside the run in its hello is refused: the
+// envelope it sends next never reaches the handler.
+TEST(ProcessFabric, HelloFromANodeThatDoesNotExistIsRefused) {
+  NameServerDaemon server(0);
+  const std::string run = "hello" + std::to_string(::getpid());
+  ProcessFabric fabric(0, 2, "127.0.0.1", server.port(), run, "/bin/false",
+                       {});
+  std::mutex mu;
+  std::vector<NodeMessage> got;
+  fabric.attach(0, [&](NodeMessage&& m) {
+    std::lock_guard<std::mutex> lock(mu);
+    got.push_back(std::move(m));
+  });
+  fabric.announce();
+  const std::string endpoint =
+      NameClient("127.0.0.1", server.port()).lookup(run + "/node0");
+  const size_t colon = endpoint.rfind(':');
+  ASSERT_NE(colon, std::string::npos) << endpoint;
+  TcpConn conn = TcpConn::connect(
+      endpoint.substr(0, colon),
+      static_cast<uint16_t>(std::stoi(endpoint.substr(colon + 1))));
+  Frame hello;
+  hello.kind = FrameKind::kHello;
+  hello.from = 7;
+  Frame env;
+  env.kind = FrameKind::kEnvelope;
+  env.from = 7;
+  env.payload.resize(24);
+  const Frame frames[] = {hello, env};
+  write_frames(conn, frames, 2);
+  conn.shutdown_write();
+  // The receiver closes the connection once it is done with it, after
+  // delivering whatever it accepted.
+  try {
+    char sink;
+    while (conn.recv_all(&sink, 1)) {
+    }
+  } catch (const Error&) {
+    // reset by the refusing receiver: just as final
+  }
+  fabric.shutdown();
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_TRUE(got.empty()) << got.size() << " frame(s) delivered";
 }
 
 }  // namespace

@@ -16,6 +16,7 @@
 #include "net/name_registry.hpp"
 #include "net/shm_fabric.hpp"
 #include "net/tcp_transport.hpp"
+#include "serial/buffer_pool.hpp"
 #include "serial/wire.hpp"
 #include "sim/domain.hpp"
 
@@ -470,6 +471,79 @@ TEST(TcpFabric, BackpressureKeepsFifoUnderTinyBudget) {
     EXPECT_EQ(sizes, expect) << "backpressure must not reorder or drop";
   }
   fabric.shutdown();
+}
+
+// A peer that names a node outside the fabric in its hello is refused:
+// nothing it sends reaches a handler tagged with that id.
+TEST(TcpFabric, HelloFromANodeThatDoesNotExistIsRefused) {
+  constexpr NodeId kNodes = 4;
+  TcpFabric fabric(kNodes);
+  std::mutex mu;
+  std::vector<NodeMessage> got;
+  for (NodeId n = 0; n < kNodes; ++n) {
+    fabric.attach(n, [&](NodeMessage&& m) {
+      std::lock_guard<std::mutex> lock(mu);
+      got.push_back(std::move(m));
+    });
+  }
+  TcpConn conn = TcpConn::connect("127.0.0.1", fabric.port_of(1));
+  Frame hello;
+  hello.kind = FrameKind::kHello;
+  hello.from = kNodes + 5;
+  Frame env;
+  env.kind = FrameKind::kEnvelope;
+  env.from = kNodes + 5;
+  env.payload = bytes_of("an envelope from nowhere");
+  Frame bye;
+  bye.kind = FrameKind::kShutdown;
+  bye.from = kNodes + 5;
+  const Frame frames[] = {hello, env, bye};
+  write_frames(conn, frames, 3);
+  // The receiver closes the connection once it is done with it, after
+  // delivering whatever it accepted.
+  try {
+    char sink;
+    while (conn.recv_all(&sink, 1)) {
+    }
+  } catch (const Error&) {
+    // reset by the refusing receiver: just as final
+  }
+  fabric.shutdown();
+  std::lock_guard<std::mutex> lock(mu);
+  EXPECT_TRUE(got.empty()) << got.size() << " frame(s) delivered from node "
+                           << (got.empty() ? 0 : got[0].from);
+}
+
+// The default send_shared (inproc, sim and process fabrics) copies prefix
+// and body once, into one pooled buffer the receiver may adopt.
+TEST(InprocFabric, SendSharedCopiesPrefixAndBodyOnceIntoAPooledBuffer) {
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  std::vector<std::byte> retained = pool.acquire_sized(64 * 1024);
+  const std::byte* storage = retained.data();
+  pool.release(std::move(retained));
+  pool.reset_stats();
+
+  InprocFabric fabric(2);
+  std::vector<NodeMessage> got;
+  fabric.attach(1, [&](NodeMessage&& m) { got.push_back(std::move(m)); });
+  std::vector<std::byte> body_bytes(40000);
+  for (size_t i = 0; i < body_bytes.size(); ++i) {
+    body_bytes[i] = static_cast<std::byte>(i * 11);
+  }
+  fabric.send_shared(0, 1, FrameKind::kEnvelope, bytes_of("head:"),
+                     std::make_shared<const std::vector<std::byte>>(body_bytes));
+  ASSERT_EQ(got.size(), 1u);
+  std::vector<std::byte> want = bytes_of("head:");
+  want.insert(want.end(), body_bytes.begin(), body_bytes.end());
+  EXPECT_TRUE(got[0].payload == want) << "prefix + body, byte-exact";
+  EXPECT_EQ(got[0].payload.data(), storage) << "one pooled buffer";
+  const BufferPool::Stats s = pool.stats();
+  EXPECT_EQ(s.acquires, 1u);
+  EXPECT_EQ(s.reuses, 1u);
+  pool.release(std::move(got[0].payload));
+  pool.trim();
+  pool.reset_stats();
 }
 
 TEST(InprocFabric, UnattachedDestinationThrows) {

@@ -390,15 +390,15 @@ TEST(BufferPoolTest, RecyclesCapacityAndCountsStats) {
   pool.trim();
   pool.reset_stats();
 
-  std::vector<std::byte> a = pool.acquire(512);
-  EXPECT_GE(a.capacity(), 512u);
+  std::vector<std::byte> a = pool.acquire(2 * kPooledBlockBytes);
+  EXPECT_GE(a.capacity(), 2 * kPooledBlockBytes);
   EXPECT_TRUE(a.empty());
   pool.release(std::move(a));
 
   // The freed capacity must satisfy the next fitting request without a
   // fresh allocation.
-  std::vector<std::byte> b = pool.acquire(256);
-  EXPECT_GE(b.capacity(), 256u);
+  std::vector<std::byte> b = pool.acquire(kPooledBlockBytes);
+  EXPECT_GE(b.capacity(), kPooledBlockBytes);
   const BufferPool::Stats s = pool.stats();
   EXPECT_EQ(s.acquires, 2u);
   EXPECT_EQ(s.releases, 1u);
@@ -424,53 +424,89 @@ TEST(BufferPoolTest, SizedAcquireReusesWithoutRefilling) {
   BufferPool& pool = BufferPool::instance();
   pool.trim();
   pool.reset_stats();
+  constexpr size_t kK = kPooledBlockBytes;
 
-  std::vector<std::byte> a = pool.acquire_sized(20000);
-  ASSERT_EQ(a.size(), 20000u);
+  std::vector<std::byte> a = pool.acquire_sized(4 * kK);
+  ASSERT_EQ(a.size(), 4 * kK);
   std::memset(a.data(), 0xab, a.size());
   const std::byte* storage = a.data();
   pool.release(std::move(a));
 
   // A smaller sized request shrinks the retained buffer: same storage, and
   // the old bytes are still there because nothing refilled them.
-  std::vector<std::byte> b = pool.acquire_sized(10000);
-  EXPECT_EQ(b.size(), 10000u);
+  std::vector<std::byte> b = pool.acquire_sized(2 * kK);
+  EXPECT_EQ(b.size(), 2 * kK);
   EXPECT_EQ(b.data(), storage);
   EXPECT_EQ(b[0], std::byte{0xab});
-  EXPECT_EQ(b[9999], std::byte{0xab});
+  EXPECT_EQ(b[2 * kK - 1], std::byte{0xab});
   EXPECT_EQ(pool.stats().reuses, 1u);
   pool.release(std::move(b));
 
   // A retained buffer keeps its size, but acquire() still hands out an
   // empty vector.
-  std::vector<std::byte> c = pool.acquire(100);
+  std::vector<std::byte> c = pool.acquire(kK);
   EXPECT_TRUE(c.empty());
   EXPECT_EQ(c.data(), storage);
   EXPECT_EQ(pool.stats().reuses, 2u);
   c.assign(18, std::byte{0x11});  // a small header in the large buffer
 
-  std::vector<std::byte> full = pool.acquire_sized(30000);
+  std::vector<std::byte> full = pool.acquire_sized(6 * kK);
   const std::byte* full_storage = full.data();
   std::memset(full.data(), 0xcd, full.size());
   pool.release(std::move(c));
   pool.release(std::move(full));
 
   // A sized request takes a buffer whose bytes already cover it, not the
-  // smaller-capacity one that would need 19982 bytes refilled.
-  std::vector<std::byte> d = pool.acquire_sized(20000);
+  // smaller-capacity one that would need all but 18 bytes refilled.
+  std::vector<std::byte> d = pool.acquire_sized(4 * kK);
   EXPECT_EQ(d.data(), full_storage);
-  EXPECT_EQ(d[19999], std::byte{0xcd});
+  EXPECT_EQ(d[4 * kK - 1], std::byte{0xcd});
 
   // With none that covers it, a shorter buffer is topped up: the bytes
   // past its size are zero-filled, never stale.
-  std::vector<std::byte> f = pool.acquire_sized(20000);
+  std::vector<std::byte> f = pool.acquire_sized(4 * kK);
   EXPECT_EQ(f.data(), storage);
   EXPECT_EQ(f[17], std::byte{0x11});
   EXPECT_EQ(f[18], std::byte{0});
-  EXPECT_EQ(f[19999], std::byte{0});
+  EXPECT_EQ(f[4 * kK - 1], std::byte{0});
   EXPECT_EQ(pool.stats().reuses, 4u);
   pool.release(std::move(d));
   pool.release(std::move(f));
+  pool.trim();
+  pool.reset_stats();
+}
+
+// A ~100-byte encode head must not take (and pin) a retained 100 kB block,
+// and small buffers must not crowd the free list.
+TEST(BufferPoolTest, SmallRequestsNeverTakeARetainedBlock) {
+  BufferPool& pool = BufferPool::instance();
+  pool.trim();
+  pool.reset_stats();
+  std::vector<std::byte> block = pool.acquire_sized(100 * 1000);
+  const std::byte* storage = block.data();
+  pool.release(std::move(block));
+
+  std::vector<std::byte> small = pool.acquire(100);
+  EXPECT_GE(small.capacity(), 100u);
+  EXPECT_NE(small.data(), storage);
+  std::vector<std::byte> small_sized = pool.acquire_sized(100);
+  EXPECT_EQ(small_sized.size(), 100u);
+  EXPECT_NE(small_sized.data(), storage);
+
+  // The block still serves the next large request.
+  std::vector<std::byte> large = pool.acquire_sized(60 * 1000);
+  EXPECT_EQ(large.data(), storage);
+  BufferPool::Stats s = pool.stats();
+  EXPECT_EQ(s.acquires, 4u) << "small acquisitions are counted too";
+  EXPECT_EQ(s.reuses, 1u);
+
+  // Small releases free their buffers: counted as dropped, never retained.
+  pool.release(std::move(small));
+  pool.release(std::move(small_sized));
+  s = pool.stats();
+  EXPECT_EQ(s.releases, 1u);
+  EXPECT_EQ(s.dropped, 2u);
+  pool.release(std::move(large));
   pool.trim();
   pool.reset_stats();
 }
